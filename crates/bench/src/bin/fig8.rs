@@ -117,7 +117,7 @@ fn main() {
             .join(", "),
     );
     out.push_str("}\n}\n");
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_telemetry_fig8.json");
-    std::fs::write(&path, out).expect("write BENCH_telemetry_fig8.json");
+    let path = Path::new("BENCH_telemetry_fig8.json");
+    std::fs::write(path, out).expect("write BENCH_telemetry_fig8.json");
     println!("wrote {}", path.display());
 }

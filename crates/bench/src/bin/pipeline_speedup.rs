@@ -2,8 +2,9 @@
 //!
 //! Times `analyze_implementation` over the full property registry on
 //! the Reference implementation across a thread sweep, and writes
-//! `BENCH_pipeline.json` at the repo root so later changes have a perf
-//! trajectory to compare against. The sweep is capped at the machine's
+//! `BENCH_pipeline.json` to the working directory (run it from the
+//! repo root) so later changes have a perf trajectory to compare
+//! against. The sweep is capped at the machine's
 //! `available_parallelism`: timing more workers than hardware threads
 //! measures scheduler noise, not the engine (each row still records
 //! `hardware_threads` and an `oversubscribed` flag so rows from
@@ -576,7 +577,13 @@ fn main() {
         (model_properties as u64 - divergences) as f64 / (model_properties.max(1)) as f64
     );
     let _ = writeln!(json, "    \"bound_reached\": {bound_reached},");
-    for counter in ["clauses", "decisions", "propagations", "conflicts"] {
+    for counter in [
+        "clauses",
+        "decisions",
+        "propagations",
+        "conflicts",
+        "learned_lits",
+    ] {
         let _ = writeln!(
             json,
             "    \"{counter}\": {},",
@@ -651,12 +658,12 @@ fn main() {
     );
     json.push_str("}\n");
 
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json");
-    std::fs::write(&out, json).expect("write BENCH_pipeline.json");
+    let out = Path::new("BENCH_pipeline.json");
+    std::fs::write(out, json).expect("write BENCH_pipeline.json");
     println!("wrote {}", out.display());
 
     print!("{}", telemetry.render_text());
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_telemetry.json");
-    std::fs::write(&out, telemetry.to_json()).expect("write BENCH_telemetry.json");
+    let out = Path::new("BENCH_telemetry.json");
+    std::fs::write(out, telemetry.to_json()).expect("write BENCH_telemetry.json");
     println!("wrote {}", out.display());
 }

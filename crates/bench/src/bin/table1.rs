@@ -246,8 +246,8 @@ fn main() {
         }
     }
     json.push_str("  ]\n}\n");
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_telemetry_table1.json");
-    std::fs::write(&out, json).expect("write BENCH_telemetry_table1.json");
+    let out = Path::new("BENCH_telemetry_table1.json");
+    std::fs::write(out, json).expect("write BENCH_telemetry_table1.json");
     println!("wrote {}", out.display());
 }
 

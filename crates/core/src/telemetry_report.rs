@@ -119,6 +119,8 @@ pub struct StageTotals {
     pub backend_restarts: u64,
     /// Learned clauses retained by the solver.
     pub backend_learned: u64,
+    /// Summed length of those learned clauses, after minimisation.
+    pub backend_learned_lits: u64,
     /// Bound-limited answers (`BoundReached`) the symbolic backend
     /// returned instead of a definite verdict.
     pub backend_bound_reached: u64,
@@ -206,6 +208,7 @@ impl StageTotals {
             backend_conflicts: get("backend.conflicts"),
             backend_restarts: get("backend.restarts"),
             backend_learned: get("backend.learned"),
+            backend_learned_lits: get("backend.learned_lits"),
             backend_bound_reached: get("backend.bound_reached"),
             backend_divergences: get("backend.divergences"),
             stage_elapsed_us: spans.into_iter().collect(),
@@ -321,13 +324,15 @@ impl TelemetryReport {
             let _ = writeln!(
                 out,
                 "          symbolic: {} clauses, {} decisions, {} propagations, \
-                 {} conflicts, {} restarts, {} learned, {} bound-reached, {} divergences",
+                 {} conflicts, {} restarts, {} learned ({} literals), {} bound-reached, \
+                 {} divergences",
                 t.backend_clauses,
                 t.backend_decisions,
                 t.backend_propagations,
                 t.backend_conflicts,
                 t.backend_restarts,
                 t.backend_learned,
+                t.backend_learned_lits,
                 t.backend_bound_reached,
                 t.backend_divergences
             );
@@ -510,6 +515,10 @@ impl TelemetryReport {
             t.backend_learned
         ));
         out.push_str(&format!(
+            "    \"backend_learned_lits\": {},\n",
+            t.backend_learned_lits
+        ));
+        out.push_str(&format!(
             "    \"backend_bound_reached\": {},\n",
             t.backend_bound_reached
         ));
@@ -681,7 +690,12 @@ mod tests {
         assert!(t.backend_clauses > 0, "BMC encodings emit clauses");
         assert!(t.backend_propagations > 0, "solver propagates");
         assert_eq!(t.backend_divergences, 0, "single backend cannot diverge");
+        assert!(
+            t.backend_learned_lits >= t.backend_learned,
+            "every learned clause keeps its asserting literal"
+        );
         assert!(telemetry.to_json().contains("\"backend_clauses\""));
+        assert!(telemetry.to_json().contains("\"backend_learned_lits\""));
         assert!(telemetry.render_text().contains("symbolic:"));
     }
 

@@ -50,6 +50,8 @@ impl BmcBackend {
         self.collector.add("backend.conflicts", stats.conflicts);
         self.collector.add("backend.restarts", stats.restarts);
         self.collector.add("backend.learned", stats.learned);
+        self.collector
+            .add("backend.learned_lits", stats.learned_lits);
         if bound_reached {
             self.collector.add("backend.bound_reached", 1);
         }
