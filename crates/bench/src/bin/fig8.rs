@@ -8,9 +8,10 @@
 //! differ from the paper's i7-3750QCM laptop, but the ratio series is
 //! comparable.
 
-use procheck::cegar::{cegar_check, cegar_check_traced};
+use procheck::cegar::{cegar_check, cegar_check_budgeted};
 use procheck_bench::{col, default_threads, parallel_map, Fig8Models};
 use procheck_props::{common_properties, Check};
+use procheck_smv::BudgetMeter;
 use procheck_telemetry::{json, Collector};
 use procheck_threat::StepSemantics;
 use std::path::Path;
@@ -71,8 +72,20 @@ fn main() {
         ratios.push(ratio);
         // One untimed traced run per model for the exploration numbers
         // (kept out of the timing loop so the measurement stays clean).
-        let pro = cegar_check_traced(pro_model, prop, semantics, STATE_LIMIT, 24, &collector);
-        let lte = cegar_check_traced(lte_model, prop, semantics, STATE_LIMIT, 24, &collector);
+        let unlimited = BudgetMeter::unlimited();
+        let traced = |model| {
+            cegar_check_budgeted(
+                model,
+                prop,
+                semantics,
+                STATE_LIMIT,
+                24,
+                &unlimited,
+                1,
+                &collector,
+            )
+        };
+        let (pro, lte) = (traced(pro_model), traced(lte_model));
         if let (Ok(pro), Ok(lte)) = (pro, lte) {
             telemetry_rows.push(format!(
                 "    {{\"index\": {}, \"title\": {}, \"lte_ms\": {lte_ms:.3}, \

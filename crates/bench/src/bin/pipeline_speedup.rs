@@ -31,7 +31,7 @@ use procheck::pipeline::{
 use procheck::telemetry_report::TelemetryReport;
 use procheck_props::{distinct_threat_configs, registry};
 use procheck_smv::checker::{
-    build_reach_graph_budgeted, por_commute_hits_total, states_explored_total, CheckStats,
+    build_reach_graph_budgeted_opts, por_commute_hits_total, states_explored_total, CheckStats,
     CompiledModel,
 };
 use procheck_smv::coi::slice_for_property;
@@ -182,7 +182,9 @@ fn main() {
     // property pool and the cache so the number isolates the frontier
     // itself. Graphs are identical at every width (asserted), so the
     // wall-clock ratio is a pure scheduling measurement.
-    let state_limit = AnalysisConfig::default().state_limit;
+    let AnalysisConfig {
+        state_limit, por, ..
+    } = AnalysisConfig::default();
     let compiled: Vec<CompiledModel> = distinct_threat_models
         .iter()
         .map(|cfg| {
@@ -194,7 +196,14 @@ fn main() {
     // faults and allocator growth.
     for c in &compiled {
         let mut s = CheckStats::default();
-        let _ = build_reach_graph_budgeted(c, state_limit, &BudgetMeter::unlimited(), &mut s, 1);
+        let _ = build_reach_graph_budgeted_opts(
+            c,
+            state_limit,
+            &BudgetMeter::unlimited(),
+            &mut s,
+            1,
+            por,
+        );
     }
     let mut explore_rows: Vec<(usize, f64, u64)> = Vec::new();
     for &width in &EXPLORE_WIDTHS {
@@ -202,12 +211,13 @@ fn main() {
         let mut states = 0u64;
         for c in &compiled {
             let mut s = CheckStats::default();
-            let g = build_reach_graph_budgeted(
+            let g = build_reach_graph_budgeted_opts(
                 c,
                 state_limit,
                 &BudgetMeter::unlimited(),
                 &mut s,
                 width,
+                por,
             )
             .expect("registry graphs fit the default state limit");
             states += g.build_stats().states;

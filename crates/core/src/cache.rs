@@ -19,7 +19,7 @@
 //! same configuration explores the identical reachable state space. The
 //! cache therefore also memoizes one fully-explored
 //! [`ReachGraph`] per configuration
-//! ([`ThreatModelCache::get_or_build_graph_traced`]); properties answer
+//! ([`ThreatModelCache::get_or_build_graph_budgeted_opts`]); properties answer
 //! as queries over the shared graph instead of re-running BFS. Failed
 //! builds (state-limit blowups) are cached too — every property sharing
 //! the configuration sees the same error without re-paying for the
@@ -48,7 +48,7 @@ use crate::store::RunStore;
 use procheck_fsm::Fsm;
 use procheck_smv::budget::{panic_message, BudgetMeter};
 use procheck_smv::checker::{
-    build_reach_graph_budgeted_opts, por_default, CheckError, CheckStats, CompiledModel,
+    build_reach_graph_budgeted_opts, CheckError, CheckStats, CompiledModel,
 };
 use procheck_smv::coi::ConeSig;
 use procheck_smv::model::Model;
@@ -100,7 +100,7 @@ pub struct ThreatModelCache {
 /// Snapshot of a cache's hit/miss accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Total `get_or_build` calls.
+    /// Total lookups (calls to the layer's `get_or_*` method).
     pub lookups: usize,
     /// Lookups that composed a new model (cache misses).
     pub builds: usize,
@@ -146,28 +146,14 @@ impl ThreatModelCache {
     }
 
     /// Returns the composed `IMP^μ` for `cfg`, building it on first use.
-    /// Every caller passing an equal `cfg` gets the same `Arc`.
+    /// Every caller passing an equal `cfg` gets the same `Arc`. Records
+    /// `compose.lookups`, `compose.builds`, and a `compose.build` span
+    /// per actual composition on `collector`.
     ///
     /// # Errors
     ///
     /// Returns the (cached) [`CheckError::Panic`] when the one build for
     /// this configuration panicked — only that slot is poisoned.
-    pub fn get_or_build(
-        &self,
-        ue: &Fsm,
-        mme: &Fsm,
-        cfg: &ThreatConfig,
-    ) -> Result<Arc<Model>, CheckError> {
-        self.get_or_build_traced(ue, mme, cfg, &Collector::disabled())
-    }
-
-    /// [`Self::get_or_build`] that also records `compose.lookups`,
-    /// `compose.builds`, and a `compose.build` span per actual
-    /// composition on `collector`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::get_or_build`].
     pub fn get_or_build_traced(
         &self,
         ue: &Fsm,
@@ -198,26 +184,14 @@ impl ThreatModelCache {
     /// Returns the compiled (id-space) form of `model` (the composed
     /// `IMP^μ` for `cfg`), compiling it on first use. Every caller
     /// passing an equal `cfg` gets the same `Arc` — or the same cached
-    /// validation [`CheckError`] when the one compile failed.
+    /// validation [`CheckError`] when the one compile failed. Records
+    /// `compile.lookups`, `compile.builds`, a `compile` span per actual
+    /// compilation, and the high-water `ident.symbols_interned` gauge on
+    /// `collector`.
     ///
     /// # Errors
     ///
     /// Returns the (cached) [`CheckError`] from model validation.
-    pub fn get_or_compile(
-        &self,
-        model: &Model,
-        cfg: &ThreatConfig,
-    ) -> Result<Arc<CompiledModel>, CheckError> {
-        self.get_or_compile_traced(model, cfg, &Collector::disabled())
-    }
-
-    /// [`Self::get_or_compile`] that also records `compile.lookups`,
-    /// `compile.builds`, a `compile` span per actual compilation, and
-    /// the high-water `ident.symbols_interned` gauge on `collector`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::get_or_compile`].
     pub fn get_or_compile_traced(
         &self,
         model: &Model,
@@ -249,88 +223,21 @@ impl ThreatModelCache {
     /// use. Every caller passing an equal `cfg` gets the same `Arc` —
     /// or the same cached [`CheckError`] when the one build failed.
     ///
-    /// # Errors
+    /// Records `graph_cache.lookups`, `graph_cache.builds`,
+    /// `graph_cache.hits`, a `graph.build` span, and the build's `smv.*`
+    /// exploration counters on `collector`. The `smv.*` counters are
+    /// recorded here, once per distinct configuration, and *not* by the
+    /// queries served from the graph — so `smv.states_explored` measures
+    /// genuinely distinct exploration work and stays identical at any
+    /// thread count.
     ///
-    /// Returns the (cached) [`CheckError`] from the graph build.
-    pub fn get_or_build_graph(
-        &self,
-        model: &CompiledModel,
-        cfg: &ThreatConfig,
-        state_limit: usize,
-        explore_threads: usize,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        self.get_or_build_graph_traced(
-            model,
-            cfg,
-            state_limit,
-            explore_threads,
-            &Collector::disabled(),
-        )
-    }
-
-    /// [`Self::get_or_build_graph`] that also records
-    /// `graph_cache.lookups`, `graph_cache.builds`, `graph_cache.hits`,
-    /// a `graph.build` span, and the build's `smv.*` exploration
-    /// counters on `collector`. The `smv.*` counters are recorded here,
-    /// once per distinct configuration, and *not* by the queries served
-    /// from the graph — so `smv.states_explored` measures genuinely
-    /// distinct exploration work and stays identical at any thread
-    /// count.
+    /// The one exploration this slot ever runs charges its states
+    /// against `meter`. Exhaustion is cached as [`CheckError::Budget`]
+    /// (with the partial stats kept), exactly like a state-limit
+    /// failure, so sharers degrade identically without re-paying for the
+    /// aborted exploration.
     ///
-    /// # Errors
-    ///
-    /// Same as [`Self::get_or_build_graph`].
-    pub fn get_or_build_graph_traced(
-        &self,
-        model: &CompiledModel,
-        cfg: &ThreatConfig,
-        state_limit: usize,
-        explore_threads: usize,
-        collector: &Collector,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        self.get_or_build_graph_budgeted(
-            model,
-            cfg,
-            state_limit,
-            &BudgetMeter::unlimited(),
-            explore_threads,
-            collector,
-        )
-    }
-
-    /// [`Self::get_or_build_graph_traced`] under a live
-    /// [`BudgetMeter`]: the one exploration this slot ever runs charges
-    /// its states against the run-wide budget. Exhaustion is cached as
-    /// [`CheckError::Budget`] (with the partial stats kept), exactly
-    /// like a state-limit failure, so sharers degrade identically
-    /// without re-paying for the aborted exploration.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::get_or_build_graph`], plus the cached
-    /// [`CheckError::Budget`] when the meter tripped mid-build.
-    pub fn get_or_build_graph_budgeted(
-        &self,
-        model: &CompiledModel,
-        cfg: &ThreatConfig,
-        state_limit: usize,
-        meter: &BudgetMeter,
-        explore_threads: usize,
-        collector: &Collector,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        self.get_or_build_graph_budgeted_opts(
-            model,
-            cfg,
-            state_limit,
-            meter,
-            explore_threads,
-            por_default(),
-            collector,
-        )
-    }
-
-    /// [`Self::get_or_build_graph_budgeted`] with the partial-order
-    /// reduction switchable per call (the pipeline threads
+    /// `por` switches the partial-order reduction (the pipeline threads
     /// `AnalysisConfig::por` through here). POR changes no graph bytes
     /// and no [`CheckStats`] — only how many successor guards are
     /// evaluated — so graphs built with and without it are
@@ -338,7 +245,8 @@ impl ThreatModelCache {
     ///
     /// # Errors
     ///
-    /// Same as [`Self::get_or_build_graph_budgeted`].
+    /// Returns the (cached) [`CheckError`] from the graph build,
+    /// including [`CheckError::Budget`] when the meter tripped mid-build.
     #[allow(clippy::too_many_arguments)]
     pub fn get_or_build_graph_budgeted_opts(
         &self,
@@ -361,6 +269,7 @@ impl ThreatModelCache {
             meter,
             explore_threads,
             por,
+            None,
             collector,
         )
     }
@@ -377,7 +286,7 @@ impl ThreatModelCache {
     ///
     /// # Errors
     ///
-    /// Same as [`Self::get_or_build_graph_budgeted`].
+    /// Same as [`Self::get_or_build_graph_budgeted_opts`].
     #[allow(clippy::too_many_arguments)]
     pub fn get_or_build_sliced_graph_budgeted(
         &self,
@@ -396,7 +305,7 @@ impl ThreatModelCache {
                 .expect("sliced graph cache map lock");
             Arc::clone(map.entry((cfg.clone(), sliced.sig.clone())).or_default())
         };
-        self.build_graph_in_slot_inner(
+        self.build_graph_in_slot(
             &slot,
             &sliced.model,
             state_limit,
@@ -410,36 +319,11 @@ impl ThreatModelCache {
 
     /// The shared build-once body of the graph layers: initializes
     /// `slot` (exploring `model` under `catch_unwind`, caching failures,
-    /// recording the `smv.*`/`explore.*` build telemetry exactly once)
-    /// and counts the lookup as a build or a hit.
+    /// recording the `smv.*`/`explore.*` build telemetry exactly once,
+    /// plus the `reduction.*` cone telemetry when the slot belongs to the
+    /// sliced layer) and counts the lookup as a build or a hit.
     #[allow(clippy::too_many_arguments)]
     fn build_graph_in_slot(
-        &self,
-        slot: &GraphSlot,
-        model: &CompiledModel,
-        state_limit: usize,
-        meter: &BudgetMeter,
-        explore_threads: usize,
-        por: bool,
-        collector: &Collector,
-    ) -> Result<Arc<ReachGraph>, CheckError> {
-        self.build_graph_in_slot_inner(
-            slot,
-            model,
-            state_limit,
-            meter,
-            explore_threads,
-            por,
-            None,
-            collector,
-        )
-    }
-
-    /// [`Self::build_graph_in_slot`] that additionally records
-    /// `reduction.*` cone telemetry inside the (exactly-once) build
-    /// closure when the slot belongs to the sliced layer.
-    #[allow(clippy::too_many_arguments)]
-    fn build_graph_in_slot_inner(
         &self,
         slot: &GraphSlot,
         model: &CompiledModel,
@@ -619,6 +503,26 @@ mod tests {
     use procheck_props::registry;
     use procheck_stack::UeConfig;
 
+    /// A graph-layer lookup at one exploration worker with POR on.
+    fn graph(
+        cache: &ThreatModelCache,
+        compiled: &CompiledModel,
+        cfg: &ThreatConfig,
+        state_limit: usize,
+        meter: &BudgetMeter,
+        collector: &Collector,
+    ) -> Result<Arc<ReachGraph>, CheckError> {
+        cache.get_or_build_graph_budgeted_opts(
+            compiled,
+            cfg,
+            state_limit,
+            meter,
+            1,
+            true,
+            collector,
+        )
+    }
+
     fn small_models() -> (Fsm, Fsm) {
         use procheck_conformance::runner::run_suite;
         use procheck_conformance::suites;
@@ -643,8 +547,12 @@ mod tests {
         let mut shared = None;
         for p in registry() {
             let cfg = p.slice.threat_config();
-            let a = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
-            let b = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
+            let a = cache
+                .get_or_build_traced(&ue, &mme, &cfg, &Collector::disabled())
+                .expect("compose");
+            let b = cache
+                .get_or_build_traced(&ue, &mme, &cfg, &Collector::disabled())
+                .expect("compose");
             assert!(Arc::ptr_eq(&a, &b), "{}: repeat lookup must share", p.id);
             if let Some((prev_cfg, prev_model)) = &shared {
                 if *prev_cfg == cfg {
@@ -671,19 +579,28 @@ mod tests {
     /// as hits.
     #[test]
     fn graph_layer_shares_one_exploration() {
-        use procheck_telemetry::Collector;
         let (ue, mme) = small_models();
         let cache = ThreatModelCache::new();
         let collector = Collector::enabled();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
-        let compiled = cache.get_or_compile(&model, &cfg).unwrap();
+        let model = cache
+            .get_or_build_traced(&ue, &mme, &cfg, &Collector::disabled())
+            .expect("compose");
+        let compiled = cache
+            .get_or_compile_traced(&model, &cfg, &Collector::disabled())
+            .unwrap();
         let mut graphs = Vec::new();
         for _ in 0..3 {
             graphs.push(
-                cache
-                    .get_or_build_graph_traced(&compiled, &cfg, 1_000_000, 1, &collector)
-                    .unwrap(),
+                graph(
+                    &cache,
+                    &compiled,
+                    &cfg,
+                    1_000_000,
+                    &BudgetMeter::unlimited(),
+                    &collector,
+                )
+                .unwrap(),
             );
         }
         assert!(Arc::ptr_eq(&graphs[0], &graphs[1]));
@@ -709,12 +626,13 @@ mod tests {
     /// gauge once, and serves repeat lookups from cache.
     #[test]
     fn compiled_layer_shares_one_compilation() {
-        use procheck_telemetry::Collector;
         let (ue, mme) = small_models();
         let cache = ThreatModelCache::new();
         let collector = Collector::enabled();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
+        let model = cache
+            .get_or_build_traced(&ue, &mme, &cfg, &Collector::disabled())
+            .expect("compose");
         let a = cache
             .get_or_compile_traced(&model, &cfg, &collector)
             .unwrap();
@@ -752,10 +670,31 @@ mod tests {
         let (ue, mme) = small_models();
         let cache = ThreatModelCache::new();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
-        let compiled = cache.get_or_compile(&model, &cfg).unwrap();
-        let a = cache.get_or_build_graph(&compiled, &cfg, 1, 1).unwrap_err();
-        let b = cache.get_or_build_graph(&compiled, &cfg, 1, 1).unwrap_err();
+        let model = cache
+            .get_or_build_traced(&ue, &mme, &cfg, &Collector::disabled())
+            .expect("compose");
+        let compiled = cache
+            .get_or_compile_traced(&model, &cfg, &Collector::disabled())
+            .unwrap();
+        let unlimited = BudgetMeter::unlimited();
+        let a = graph(
+            &cache,
+            &compiled,
+            &cfg,
+            1,
+            &unlimited,
+            &Collector::disabled(),
+        )
+        .unwrap_err();
+        let b = graph(
+            &cache,
+            &compiled,
+            &cfg,
+            1,
+            &unlimited,
+            &Collector::disabled(),
+        )
+        .unwrap_err();
         assert!(matches!(a, CheckError::StateLimit(1)));
         assert_eq!(a, b);
         assert_eq!(cache.graph_stats().builds, 1);
@@ -774,18 +713,33 @@ mod tests {
         let (ue, mme) = small_models();
         let cache = ThreatModelCache::new();
         let cfg = registry()[0].slice.threat_config();
-        let model = cache.get_or_build(&ue, &mme, &cfg).expect("compose");
-        let compiled = cache.get_or_compile(&model, &cfg).unwrap();
+        let model = cache
+            .get_or_build_traced(&ue, &mme, &cfg, &Collector::disabled())
+            .expect("compose");
+        let compiled = cache
+            .get_or_compile_traced(&model, &cfg, &Collector::disabled())
+            .unwrap();
         let meter = Budget::unlimited().with_total_states(1).start();
         meter.charge_and_probe(1).expect("exactly at cap");
-        let collector = Collector::disabled();
-        let a = cache
-            .get_or_build_graph_budgeted(&compiled, &cfg, 1_000_000, &meter, 1, &collector)
-            .unwrap_err();
+        let a = graph(
+            &cache,
+            &compiled,
+            &cfg,
+            1_000_000,
+            &meter,
+            &Collector::disabled(),
+        )
+        .unwrap_err();
         assert!(matches!(a, CheckError::Budget(_)), "{a:?}");
-        let b = cache
-            .get_or_build_graph_traced(&compiled, &cfg, 1_000_000, 1, &collector)
-            .unwrap_err();
+        let b = graph(
+            &cache,
+            &compiled,
+            &cfg,
+            1_000_000,
+            &BudgetMeter::unlimited(),
+            &Collector::disabled(),
+        )
+        .unwrap_err();
         assert_eq!(a, b, "sharers see the cached budget failure");
         assert_eq!(cache.graph_stats().builds, 1);
         assert!(cache.graph_build_stats(&cfg).is_some());
@@ -795,7 +749,6 @@ mod tests {
     /// mirrors the numbers onto the collector.
     #[test]
     fn cache_stats_and_collector_agree() {
-        use procheck_telemetry::Collector;
         let (ue, mme) = small_models();
         let cache = ThreatModelCache::new();
         let collector = Collector::enabled();

@@ -19,7 +19,7 @@ use procheck_cpv::term::Term;
 use procheck_ident::Sym;
 use procheck_smv::budget::BudgetMeter;
 use procheck_smv::checker::{
-    build_reach_graph_budgeted, CheckError, CheckStats, CompiledModel, Property, QueryStats,
+    build_reach_graph_budgeted_opts, CheckError, CheckStats, CompiledModel, Property, QueryStats,
     Verdict,
 };
 use procheck_smv::model::Model;
@@ -75,9 +75,9 @@ pub struct CegarOutcome {
     pub cpv_steps: usize,
     /// Exploration charged to this call: the one reachability-graph
     /// build when the loop explored privately ([`cegar_check`] /
-    /// [`cegar_check_traced`]), or zero when the graph came from a
-    /// shared cache ([`cegar_check_on_graph`] — the build is charged
-    /// once at the cache, not per property).
+    /// [`cegar_check_budgeted`]), or zero when the graph came from a
+    /// shared cache ([`cegar_check_backend_budgeted`] — the build is
+    /// charged once at the cache, not per property).
     pub explore: CheckStats,
     /// Graph-query totals summed over all iterations: cached nodes
     /// re-used instead of re-explored, product-monitor states, and the
@@ -94,7 +94,9 @@ impl CegarOutcome {
     }
 }
 
-/// Runs the model-checker ⇄ CPV loop for one property.
+/// Runs the model-checker ⇄ CPV loop for one property — the one-shot
+/// convenience over [`cegar_check_budgeted`] (no budget, one
+/// exploration worker, no telemetry).
 ///
 /// # Errors
 ///
@@ -107,43 +109,6 @@ pub fn cegar_check(
     state_limit: usize,
     max_iterations: usize,
 ) -> Result<CegarOutcome, CheckError> {
-    cegar_check_traced(
-        model,
-        property,
-        semantics,
-        state_limit,
-        max_iterations,
-        &Collector::disabled(),
-    )
-}
-
-/// [`cegar_check`] that records per-loop telemetry on `collector`:
-/// `cegar.runs`, `cegar.iterations`, `cegar.refinements`, `cpv.queries`,
-/// `cpv.steps`, the checker's `smv.*` counters for the one graph build,
-/// and `graph_cache.nodes_reused` for the per-iteration graph queries.
-/// Counter totals depend only on the model and property, never on
-/// scheduling, so parallel callers summing into one collector stay
-/// deterministic.
-///
-/// This entry point explores *privately*: it builds a fresh
-/// [`ReachGraph`] for the model and re-queries it across refinement
-/// iterations. Callers checking many properties against one threat
-/// configuration should share the graph via
-/// `ThreatModelCache::get_or_build_graph_traced` and call
-/// [`cegar_check_on_graph_traced`] instead.
-///
-/// # Errors
-///
-/// Propagates [`CheckError`] from the model checker; the `smv.*`
-/// counters still reflect the partial exploration in that case.
-pub fn cegar_check_traced(
-    model: &Model,
-    property: &Property,
-    semantics: &StepSemantics,
-    state_limit: usize,
-    max_iterations: usize,
-    collector: &Collector,
-) -> Result<CegarOutcome, CheckError> {
     cegar_check_budgeted(
         model,
         property,
@@ -152,19 +117,34 @@ pub fn cegar_check_traced(
         max_iterations,
         &BudgetMeter::unlimited(),
         1,
-        collector,
+        &Collector::disabled(),
     )
 }
 
-/// [`cegar_check_traced`] under a live
-/// [`BudgetMeter`]: the private graph
-/// build and every refinement query charge the run-wide budget, and
-/// exhaustion surfaces as [`CheckError::Budget`] with the `smv.*`
-/// counters still reflecting the partial exploration.
+/// Runs the CEGAR loop with a *private* exploration: builds a fresh
+/// [`ReachGraph`] for the model (at `explore_threads` workers, POR on)
+/// and re-queries it across refinement iterations. Callers checking
+/// many properties against one threat configuration should share the
+/// graph via `ThreatModelCache::get_or_build_graph_budgeted_opts` and
+/// call [`cegar_check_backend_budgeted`] with an [`ExplicitBackend`]
+/// instead.
+///
+/// Records per-loop telemetry on `collector`: `cegar.runs`,
+/// `cegar.iterations`, `cegar.refinements`, `cpv.queries`, `cpv.steps`,
+/// the checker's `smv.*` counters for the one graph build, and
+/// `graph_cache.nodes_reused` for the per-iteration graph queries.
+/// Counter totals depend only on the model and property, never on
+/// scheduling, so parallel callers summing into one collector stay
+/// deterministic.
+///
+/// The graph build and every refinement query charge `meter`, and
+/// exhaustion surfaces as [`CheckError::Budget`].
 ///
 /// # Errors
 ///
-/// Same as [`cegar_check_traced`], plus [`CheckError::Budget`].
+/// Propagates [`CheckError`] from the model checker, including
+/// [`CheckError::Budget`]; the `smv.*` counters still reflect the
+/// partial exploration in that case.
 #[allow(clippy::too_many_arguments)]
 pub fn cegar_check_budgeted(
     model: &Model,
@@ -203,7 +183,14 @@ pub fn cegar_check_budgeted(
     let mut build = CheckStats::default();
     let built = {
         let _span = collector.span("graph.build");
-        build_reach_graph_budgeted(&compiled, state_limit, meter, &mut build, explore_threads)
+        build_reach_graph_budgeted_opts(
+            &compiled,
+            state_limit,
+            meter,
+            &mut build,
+            explore_threads,
+            true,
+        )
     };
     collector.add("smv.states_explored", build.states);
     collector.add("smv.transitions", build.transitions);
@@ -212,9 +199,9 @@ pub fn cegar_check_budgeted(
         Ok(g) => g,
         Err(e) => return abort(e),
     };
-    let mut outcome = cegar_check_on_graph_budgeted(
+    let mut outcome = cegar_check_backend_budgeted(
         &compiled,
-        &graph,
+        &ExplicitBackend { graph: &graph },
         property,
         semantics,
         state_limit,
@@ -227,123 +214,38 @@ pub fn cegar_check_budgeted(
     Ok(outcome)
 }
 
-/// [`cegar_check_on_graph_traced`] without telemetry.
-///
-/// # Errors
-///
-/// Same as [`cegar_check_on_graph_traced`].
-pub fn cegar_check_on_graph(
-    model: &CompiledModel,
-    graph: &ReachGraph,
-    property: &Property,
-    semantics: &StepSemantics,
-    state_limit: usize,
-    max_iterations: usize,
-) -> Result<CegarOutcome, CheckError> {
-    cegar_check_on_graph_traced(
-        model,
-        graph,
-        property,
-        semantics,
-        state_limit,
-        max_iterations,
-        &Collector::disabled(),
-    )
-}
-
-/// Runs the CEGAR loop against an already-explored [`ReachGraph`] for
-/// the compiled `model` (typically shared behind the per-`ThreatConfig`
-/// cache).
+/// Runs the CEGAR loop for the compiled `model` over any
+/// [`CheckBackend`]: an [`ExplicitBackend`] wrapping an already-explored
+/// [`ReachGraph`] (typically shared behind the per-`ThreatConfig`
+/// cache), or the bounded symbolic engine
+/// (`procheck_symbolic::BmcBackend`), which needs no prebuilt graph.
 ///
 /// Refinements never rebuild or re-explore anything: excluding an
 /// adversary command only sets its bit in a [`procheck_ident::CmdIdSet`]
-/// mask for the next query, and the checker synthesizes the deadlock
-/// stutter exactly where the filtered model would have one, so verdicts,
-/// traces, and refinement sequences are identical to a loop that
-/// re-explored a command-filtered model each iteration. The shared graph
-/// is never invalidated by property refinement — only a different
-/// `ThreatConfig` (a different composed model) needs a different graph.
+/// mask handed to the backend for the next query, and the explicit
+/// checker synthesizes the deadlock stutter exactly where the filtered
+/// model would have one, so verdicts, traces, and refinement sequences
+/// are identical to a loop that re-explored a command-filtered model
+/// each iteration. A shared graph is never invalidated by property
+/// refinement — only a different `ThreatConfig` (a different composed
+/// model) needs a different graph.
 ///
-/// The property is compiled once before the loop; every iteration is a
-/// pure id-space query through the [`ExplicitBackend`] seam. The
-/// returned outcome's `explore` is zero — exploration is charged
-/// wherever the graph was built — while `query` accounts for the graph
-/// re-use (also recorded as `graph_cache.nodes_reused` on `collector`).
-///
-/// # Errors
-///
-/// Propagates [`CheckError`] from the graph queries.
-#[allow(clippy::too_many_arguments)]
-pub fn cegar_check_on_graph_traced(
-    model: &CompiledModel,
-    graph: &ReachGraph,
-    property: &Property,
-    semantics: &StepSemantics,
-    state_limit: usize,
-    max_iterations: usize,
-    collector: &Collector,
-) -> Result<CegarOutcome, CheckError> {
-    cegar_check_on_graph_budgeted(
-        model,
-        graph,
-        property,
-        semantics,
-        state_limit,
-        max_iterations,
-        &BudgetMeter::unlimited(),
-        collector,
-    )
-}
-
-/// [`cegar_check_on_graph_traced`] under a live
-/// [`BudgetMeter`]: each refinement
-/// iteration's product query charges the run-wide budget, so a
-/// long-running CEGAR loop degrades mid-refinement instead of outliving
-/// the run's deadline. Exhaustion flushes the loop's counters (like
-/// every other exit path) and surfaces as [`CheckError::Budget`].
-///
-/// # Errors
-///
-/// Same as [`cegar_check_on_graph_traced`], plus [`CheckError::Budget`].
-#[allow(clippy::too_many_arguments)]
-pub fn cegar_check_on_graph_budgeted(
-    model: &CompiledModel,
-    graph: &ReachGraph,
-    property: &Property,
-    semantics: &StepSemantics,
-    state_limit: usize,
-    max_iterations: usize,
-    meter: &BudgetMeter,
-    collector: &Collector,
-) -> Result<CegarOutcome, CheckError> {
-    cegar_loop(
-        model,
-        &ExplicitBackend { graph },
-        property,
-        semantics,
-        state_limit,
-        max_iterations,
-        meter,
-        None,
-        collector,
-    )
-}
-
-/// The CEGAR loop over an arbitrary [`CheckBackend`] — the seam the
-/// pipeline uses to run the bounded symbolic engine
-/// (`procheck_symbolic::BmcBackend`), which needs no prebuilt graph.
-/// Refinement semantics are identical to the explicit path: exclusions
-/// widen a [`procheck_ident::CmdIdSet`] mask handed to the backend each
-/// iteration. A backend answer of
-/// [`BackendVerdict::BoundReached`] ends the
-/// loop with [`FinalVerdict::BoundReached`] — there is no
-/// counterexample to refine and no proof to report.
+/// The property is compiled once before the loop. The returned
+/// outcome's `explore` is zero — exploration is charged wherever the
+/// graph was built — while `query` accounts for the graph re-use (also
+/// recorded as `graph_cache.nodes_reused` on `collector`). Each
+/// iteration's query charges `meter`, so a long-running loop degrades
+/// mid-refinement instead of outliving the run's deadline; exhaustion
+/// flushes the loop's counters like every other exit path. A backend
+/// answer of [`BackendVerdict::BoundReached`] ends the loop with
+/// [`FinalVerdict::BoundReached`] — there is no counterexample to
+/// refine and no proof to report.
 ///
 /// # Errors
 ///
 /// Propagates the backend's [`CheckError`]s, including
-/// [`CheckError::BackendDivergence`] for counterexamples that fail
-/// replay validation.
+/// [`CheckError::Budget`] and [`CheckError::BackendDivergence`] for
+/// counterexamples that fail replay validation.
 #[allow(clippy::too_many_arguments)]
 pub fn cegar_check_backend_budgeted(
     model: &CompiledModel,
@@ -368,21 +270,21 @@ pub fn cegar_check_backend_budgeted(
     )
 }
 
-/// [`cegar_check_on_graph_budgeted`] against a *cone-of-influence
-/// sliced* model and its (smaller) graph: `sliced` must be
-/// [`procheck_smv::coi::slice_for_property`]'s projection of `full` for
-/// this property. The loop runs entirely on the sliced model — queries,
-/// CPV feasibility checks (labels are preserved by the projection), and
-/// refinements (exclusions name trace labels, which are kept-command
-/// labels, so the mask evolves exactly as the full loop's would) — and
-/// any surviving counterexample is re-expanded to full-variable form via
-/// [`procheck_smv::coi::expand_counterexample`] before it reaches the
-/// verdict, so `Attack`/`GoalReachable` traces are byte-identical to the
-/// unsliced loop's.
+/// [`cegar_check_backend_budgeted`] with an [`ExplicitBackend`] against
+/// a *cone-of-influence sliced* model and its (smaller) graph: `sliced`
+/// must be [`procheck_smv::coi::slice_for_property`]'s projection of
+/// `full` for this property. The loop runs entirely on the sliced model
+/// — queries, CPV feasibility checks (labels are preserved by the
+/// projection), and refinements (exclusions name trace labels, which
+/// are kept-command labels, so the mask evolves exactly as the full
+/// loop's would) — and any surviving counterexample is re-expanded to
+/// full-variable form via [`procheck_smv::coi::expand_counterexample`]
+/// before it reaches the verdict, so `Attack`/`GoalReachable` traces are
+/// byte-identical to the unsliced loop's.
 ///
 /// # Errors
 ///
-/// Same as [`cegar_check_on_graph_budgeted`].
+/// Same as [`cegar_check_backend_budgeted`].
 #[allow(clippy::too_many_arguments)]
 pub fn cegar_check_sliced_on_graph_budgeted(
     full: &CompiledModel,
@@ -711,7 +613,17 @@ mod tests {
             let private = cegar_check(&model, &p, &sem, 1_000_000, 16).unwrap();
             let compiled = CompiledModel::new(&model).unwrap();
             let graph = build_reach_graph(&model, 1_000_000).unwrap();
-            let shared = cegar_check_on_graph(&compiled, &graph, &p, &sem, 1_000_000, 16).unwrap();
+            let shared = cegar_check_backend_budgeted(
+                &compiled,
+                &ExplicitBackend { graph: &graph },
+                &p,
+                &sem,
+                1_000_000,
+                16,
+                &BudgetMeter::unlimited(),
+                &Collector::disabled(),
+            )
+            .unwrap();
             assert_eq!(private.verdict, shared.verdict);
             assert_eq!(private.iterations, shared.iterations);
             assert_eq!(private.refinements, shared.refinements);

@@ -25,8 +25,8 @@
 
 use crate::cache::{CacheStats, ThreatModelCache};
 use crate::cegar::{
-    cegar_check_backend_budgeted, cegar_check_budgeted, cegar_check_on_graph_budgeted,
-    cegar_check_sliced_on_graph_budgeted, CegarOutcome, FinalVerdict,
+    cegar_check_backend_budgeted, cegar_check_budgeted, cegar_check_sliced_on_graph_budgeted,
+    CegarOutcome, FinalVerdict,
 };
 use crate::report::{DegradedStats, Finding, PropertyOutcome, PropertyResult};
 use crate::store::{
@@ -42,8 +42,9 @@ use procheck_fsm::stats::FsmStats;
 use procheck_fsm::Fsm;
 use procheck_props::{registry, BaseProfile, Check, LinkScenario, NasProperty};
 use procheck_smv::budget::{panic_message, Budget, BudgetMeter};
-use procheck_smv::checker::{por_default, CheckError, DEFAULT_STATE_LIMIT};
-use procheck_smv::coi::{slice_default, slice_for_property, ConeSig};
+use procheck_smv::checker::{CheckError, DEFAULT_STATE_LIMIT};
+use procheck_smv::coi::{slice_for_property, ConeSig};
+use procheck_smv::ExplicitBackend;
 use procheck_stack::quirks::Implementation;
 use procheck_stack::UeConfig;
 use procheck_store::{Fingerprint, StoreStats, VerdictRecord};
@@ -133,13 +134,15 @@ pub struct AnalysisConfig {
     /// value.
     pub threads: usize,
     /// Worker threads for *intra-graph* exploration: each reachability
-    /// graph build runs a level-synchronized parallel BFS at this width
-    /// (1 = the serial path). Node ids, BFS parents, CSR layout, and
-    /// every downstream artifact (traces, DOT, SMV) are byte-identical
-    /// at any value — the frontier merge interns states in the serial
-    /// engine's canonical order. Defaults to `available_parallelism`;
-    /// the `PROCHECK_EXPLORE_THREADS` environment variable overrides
-    /// the default.
+    /// graph build runs a level-synchronized BFS whose levels fan out to
+    /// up to this many workers (1 expands every level on the calling
+    /// thread; 0 is treated as 1). Node ids, BFS parents, CSR layout,
+    /// every downstream artifact (traces, DOT, SMV), and the partial
+    /// stats of builds aborted by the state limit or the budget are
+    /// byte-identical at any value — the frontier merge interns states
+    /// and probes limits in canonical pop order. Defaults to
+    /// `available_parallelism`; the `PROCHECK_EXPLORE_THREADS`
+    /// environment variable overrides the default.
     pub explore_threads: usize,
     /// Share one fully-explored reachability graph per distinct threat
     /// configuration ("explore once, check many"): properties keyed to
@@ -222,8 +225,8 @@ impl Default for AnalysisConfig {
             threads: default_threads(),
             explore_threads: default_explore_threads(),
             graph_cache: std::env::var_os("PROCHECK_NO_GRAPH_CACHE").is_none(),
-            slice: slice_default(),
-            por: por_default(),
+            slice: std::env::var_os("PROCHECK_NO_SLICE").is_none(),
+            por: std::env::var_os("PROCHECK_NO_POR").is_none(),
             collector: Collector::disabled(),
             budget: Budget::unlimited(),
             store_dir: std::env::var_os("PROCHECK_STORE").map(PathBuf::from),
@@ -995,9 +998,9 @@ fn check_model_property(
                 &cfg.collector,
             )
             .and_then(|graph| {
-                cegar_check_on_graph_budgeted(
+                cegar_check_backend_budgeted(
                     &compiled,
-                    &graph,
+                    &ExplicitBackend { graph: &graph },
                     p,
                     &semantics,
                     limit,

@@ -58,11 +58,11 @@ fn total_state_cap_degrades_deterministically() {
     assert_eq!(run(), run(), "degraded outcomes must be reproducible");
 }
 
-/// Count-cap exhaustion stays bit-deterministic under the *parallel*
-/// exploration frontier: at 4 explore threads the budget is charged at
-/// level barriers, so the trip point depends only on the BFS level
-/// structure — two runs produce identical outcomes AND identical
-/// partial exploration stats, regardless of worker scheduling.
+/// Count-cap exhaustion stays bit-deterministic when the exploration
+/// frontier fans out: at 4 explore threads the budget is still probed in
+/// pop order by the single-threaded merge, so the trip point depends
+/// only on the BFS order — two runs produce identical outcomes AND
+/// identical partial exploration stats, regardless of worker scheduling.
 #[test]
 fn total_state_cap_is_deterministic_at_four_explore_threads() {
     let run = || {

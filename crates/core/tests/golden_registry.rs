@@ -17,11 +17,13 @@
 //! ```
 
 use procheck::cache::ThreatModelCache;
-use procheck::cegar::cegar_check_on_graph;
+use procheck::cegar::cegar_check_backend_budgeted;
 use procheck::pipeline::{analyze_implementation, extract_models, AnalysisConfig};
 use procheck_props::{registry, Check};
 use procheck_smv::smvformat::to_smv;
+use procheck_smv::{BudgetMeter, ExplicitBackend};
 use procheck_stack::quirks::Implementation;
+use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, StepSemantics, ThreatConfig};
 use std::fmt::Write as _;
 use std::path::Path;
@@ -45,8 +47,9 @@ fn config(explore_threads: usize) -> AnalysisConfig {
 
 /// Renders the canonical snapshot text. Deterministic by construction:
 /// no wall-clock fields, single-threaded pipeline, registry order — and
-/// byte-identical at *any* `explore_threads` width, because the parallel
-/// frontier interns states in the serial engine's canonical order.
+/// byte-identical at *any* `explore_threads` width, because the
+/// frontier interns states in canonical `(parent pop order, command
+/// index)` order.
 fn render_snapshot(explore_threads: usize) -> String {
     let mut out = String::new();
 
@@ -78,29 +81,35 @@ fn render_snapshot(explore_threads: usize) -> String {
         };
         let threat_cfg = prop.slice.threat_config();
         let model = cache
-            .get_or_build(&models.ue, &models.mme, &threat_cfg)
+            .get_or_build_traced(&models.ue, &models.mme, &threat_cfg, &Collector::disabled())
             .expect("golden models compose cleanly");
         let semantics = StepSemantics::new(threat_cfg.clone());
         if procheck_smv::checker::validate_property(&model, p).is_err() {
             let _ = writeln!(out, "{}|not-applicable", prop.id);
             continue;
         }
+        let (unlimited, off) = (BudgetMeter::unlimited(), Collector::disabled());
         let line = match cache
-            .get_or_compile(&model, &threat_cfg)
+            .get_or_compile_traced(&model, &threat_cfg, &off)
             .and_then(|compiled| {
-                let graph = cache.get_or_build_graph(
+                let graph = cache.get_or_build_graph_budgeted_opts(
                     &compiled,
                     &threat_cfg,
                     STATE_LIMIT,
+                    &unlimited,
                     explore_threads,
+                    true,
+                    &off,
                 )?;
-                cegar_check_on_graph(
+                cegar_check_backend_budgeted(
                     &compiled,
-                    &graph,
+                    &ExplicitBackend { graph: &graph },
                     p,
                     &semantics,
                     STATE_LIMIT,
                     MAX_ITERATIONS,
+                    &unlimited,
+                    &off,
                 )
             }) {
             Ok(outcome) => {

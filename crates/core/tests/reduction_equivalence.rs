@@ -8,15 +8,16 @@
 
 use std::collections::HashMap;
 
-use procheck::cegar::{cegar_check_on_graph, cegar_check_sliced_on_graph_budgeted};
+use procheck::cegar::{cegar_check_backend_budgeted, cegar_check_sliced_on_graph_budgeted};
 use procheck::pipeline::{analyze_implementation, extract_models, AnalysisConfig, AnalysisReport};
 use procheck::report::PropertyResult;
 use procheck_props::{registry, Check};
 use procheck_smv::budget::BudgetMeter;
 use procheck_smv::checker::{
-    build_reach_graph, build_reach_graph_compiled, CheckStats, CompiledModel,
+    build_reach_graph, build_reach_graph_budgeted_opts, CheckStats, CompiledModel,
 };
 use procheck_smv::coi::slice_for_property;
+use procheck_smv::ExplicitBackend;
 use procheck_stack::quirks::Implementation;
 use procheck_telemetry::Collector;
 use procheck_threat::{build_threat_model, StepSemantics, ThreatConfig};
@@ -159,15 +160,32 @@ fn sliced_cegar_matches_full_refinement_by_refinement() {
         };
         sliced_count += 1;
         let mut stats = CheckStats::default();
-        let sliced_graph = build_reach_graph_compiled(&sliced.model, LIMIT, &mut stats)
-            .expect("sliced registry model explores");
+        let sliced_graph = build_reach_graph_budgeted_opts(
+            &sliced.model,
+            LIMIT,
+            &BudgetMeter::unlimited(),
+            &mut stats,
+            1,
+            true,
+        )
+        .expect("sliced registry model explores");
         assert!(
             sliced_graph.node_count() <= full_graph.node_count(),
             "{}: projection may never enlarge the reachable space",
             prop.id
         );
         let sem = StepSemantics::new(threat_cfg.clone());
-        let full = cegar_check_on_graph(compiled, full_graph, p, &sem, LIMIT, 16).unwrap();
+        let full = cegar_check_backend_budgeted(
+            compiled,
+            &ExplicitBackend { graph: full_graph },
+            p,
+            &sem,
+            LIMIT,
+            16,
+            &BudgetMeter::unlimited(),
+            &Collector::disabled(),
+        )
+        .unwrap();
         let reduced = cegar_check_sliced_on_graph_budgeted(
             compiled,
             &sliced.model,

@@ -3,9 +3,12 @@
 //! States are interned vectors of per-variable value indices. The engine
 //! is split into an *explore* phase and an *evaluate* phase:
 //!
-//! * [`build_reach_graph`] runs one flagless BFS over the model and
-//!   produces a [`ReachGraph`] — packed state
-//!   arena, CSR successor adjacency, predecessor links, BFS parents.
+//! * [`build_reach_graph_budgeted_opts`] (or the one-shot
+//!   [`build_reach_graph`]) runs one flagless BFS over the model and
+//!   produces a [`ReachGraph`] — packed state arena, CSR successor
+//!   adjacency, predecessor links, BFS parents. One level-synchronized
+//!   explorer serves every worker count; only a model whose states do
+//!   not pack into a `u64` takes a serial value-vector BFS instead.
 //! * [`check_on_graph`] answers any [`Property`] as a *query* over that
 //!   graph: invariants and reachability are direct scans in BFS order;
 //!   precedence and response run a product BFS that carries the one-bit
@@ -19,7 +22,7 @@
 //! a filtered copy of the model: excluded edges are skipped during the
 //! product BFS, and a node whose outgoing commands are all excluded
 //! receives the same stutter self-loop a fresh exploration of the
-//! filtered model would give it. [`check_bounded_stats`] composes the two
+//! filtered model would give it. [`check_bounded`] composes the two
 //! phases for one-shot callers and behaves exactly like the historical
 //! single-pass checker.
 
@@ -30,7 +33,6 @@ use crate::model::Model;
 use crate::reach::{PackLayout, ReachGraph, StateArena, NO_PARENT, STUTTER_CMD};
 use crate::trace::{Counterexample, TraceStep};
 use procheck_ident::{CmdId, CmdIdSet, Sym, ValId, VarId};
-use procheck_telemetry::Collector;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::error::Error;
@@ -68,13 +70,6 @@ static POR_COMMUTE_HITS: AtomicU64 = AtomicU64::new(0);
 /// Reads the cumulative partial-order commute-hit counter.
 pub fn por_commute_hits_total() -> u64 {
     POR_COMMUTE_HITS.load(Ordering::Relaxed)
-}
-
-/// Default for the independence-based partial-order reduction: enabled
-/// unless `PROCHECK_NO_POR` is set in the environment (the kill-switch
-/// mirroring `PROCHECK_NO_GRAPH_CACHE` / `PROCHECK_NO_SLICE`).
-pub fn por_default() -> bool {
-    std::env::var_os("PROCHECK_NO_POR").is_none()
 }
 
 /// A property to check against a model.
@@ -715,90 +710,37 @@ impl ArenaBuilder {
 type WorkerOutcome = Result<Vec<(usize, ChunkOut)>, Box<dyn std::any::Any + Send>>;
 
 /// Explores the model's reachable state space once and returns it as a
-/// [`ReachGraph`] ready for any number of property queries.
+/// [`ReachGraph`] ready for any number of property queries — the
+/// one-shot convenience over [`build_reach_graph_budgeted_opts`] (no
+/// budget, one worker, partial-order reduction on).
 ///
 /// # Errors
 ///
 /// Returns [`CheckError`] for invalid models or state-limit blowups.
 pub fn build_reach_graph(model: &Model, limit: usize) -> Result<ReachGraph, CheckError> {
-    let mut stats = CheckStats::default();
-    build_reach_graph_stats(model, limit, &mut stats)
-}
-
-/// [`build_reach_graph`] that additionally accumulates exploration
-/// telemetry into `stats` — including on the state-limit error path, so
-/// callers see how far the blowup got.
-///
-/// # Errors
-///
-/// Same as [`build_reach_graph`].
-pub fn build_reach_graph_stats(
-    model: &Model,
-    limit: usize,
-    stats: &mut CheckStats,
-) -> Result<ReachGraph, CheckError> {
     let c = CompiledModel::new(model)?;
-    explore_graph(
-        &c,
-        limit,
-        &BudgetMeter::unlimited(),
-        stats,
-        1,
-        por_default(),
-    )
+    let mut stats = CheckStats::default();
+    explore_graph(&c, limit, &BudgetMeter::unlimited(), &mut stats, 1, true)
 }
 
-/// [`build_reach_graph_stats`] over an already-compiled model — the
-/// cache's build path, which compiles each model exactly once and then
-/// explores and queries without touching a string table.
+/// Explores an already-compiled model — the cache's build path, which
+/// compiles each model exactly once and then explores and queries
+/// without touching a string table.
 ///
-/// # Errors
-///
-/// Returns [`CheckError::StateLimit`] if exploration exceeds `limit`.
-pub fn build_reach_graph_compiled(
-    model: &CompiledModel,
-    limit: usize,
-    stats: &mut CheckStats,
-) -> Result<ReachGraph, CheckError> {
-    explore_graph(
-        model,
-        limit,
-        &BudgetMeter::unlimited(),
-        stats,
-        1,
-        por_default(),
-    )
-}
-
-/// [`build_reach_graph_compiled`] under a live [`BudgetMeter`]: freshly
-/// interned states are charged against the run-wide budget every
-/// [`PROBE_STRIDE`] pops (serial path) or at each level barrier
-/// (parallel path), and exhaustion aborts this build (with partial
-/// stats absorbed, like the state-limit path) without touching any other
+/// Exploration telemetry accumulates into `stats`, including on the
+/// error paths, so callers see how far an aborted build got. Freshly
+/// interned states are charged against `meter` every [`PROBE_STRIDE`]
+/// pops, and exhaustion aborts this build without touching any other
 /// work sharing the meter.
 ///
 /// `explore_threads` is the worker count for the level-synchronized
-/// parallel frontier; `1` (or a wide, unpackable arena) keeps the serial
-/// path. Any worker count produces a byte-identical [`ReachGraph`] on
-/// clean runs — node ids, BFS parents, and CSR layout all follow the
-/// canonical `(parent pop order, command index)` intern order.
+/// frontier (`0` is treated as `1`). Any worker count produces a
+/// byte-identical [`ReachGraph`] — node ids, BFS parents, and CSR layout
+/// all follow the canonical `(parent pop order, command index)` intern
+/// order — and the same error and partial stats on the state-limit and
+/// budget paths.
 ///
-/// # Errors
-///
-/// [`CheckError::StateLimit`] past `limit`; [`CheckError::Budget`] when
-/// the meter trips.
-pub fn build_reach_graph_budgeted(
-    model: &CompiledModel,
-    limit: usize,
-    meter: &BudgetMeter,
-    stats: &mut CheckStats,
-    explore_threads: usize,
-) -> Result<ReachGraph, CheckError> {
-    build_reach_graph_budgeted_opts(model, limit, meter, stats, explore_threads, por_default())
-}
-
-/// [`build_reach_graph_budgeted`] with the partial-order reduction
-/// controlled explicitly instead of by [`por_default`]. The reduction is
+/// `por` switches the independence-based partial-order reduction. It is
 /// graph-preserving: it only skips *re-evaluating* guards whose verdict
 /// provably carried over from the BFS parent (the fired command writes
 /// no packed-key bit the guard reads), so node ids, edges, parents, and
@@ -807,7 +749,8 @@ pub fn build_reach_graph_budgeted(
 ///
 /// # Errors
 ///
-/// Same as [`build_reach_graph_budgeted`].
+/// [`CheckError::StateLimit`] past `limit`; [`CheckError::Budget`] when
+/// the meter trips.
 pub fn build_reach_graph_budgeted_opts(
     model: &CompiledModel,
     limit: usize,
@@ -1148,20 +1091,61 @@ fn explore_graph(
 ) -> Result<ReachGraph, CheckError> {
     let domain_sizes: Vec<usize> = c.vars.iter().map(|v| v.domain.len()).collect();
     match PackLayout::for_domains(&domain_sizes) {
-        Some(layout) if explore_threads > 1 => {
-            explore_packed_parallel(c, layout, limit, meter, stats, explore_threads, por)
-        }
-        Some(layout) => explore_packed_serial(c, layout, limit, meter, stats, por),
-        // The wide value-vector fallback keeps the serial path: models
-        // too wide to pack are rare and small in this workload. (No POR
-        // either: the commute check works on packed-key bit masks.)
+        Some(layout) => explore_packed(c, layout, limit, meter, stats, explore_threads.max(1), por),
+        // Only a model whose domain product does not fit a `u64` key
+        // takes the value-vector path. (No POR there: the commute check
+        // works on packed-key bit masks.)
         None => explore_wide(c, limit, meter, stats),
     }
 }
 
-/// Serial BFS over the wide (unpackable) arena — the original generic
-/// exploration loop, kept verbatim for models whose domain product does
-/// not fit 64 bits.
+/// The probe both explorers run before expanding node `id` (in pop
+/// order) with `interned` states in the arena: the state limit, then —
+/// every [`PROBE_STRIDE`] pops — a budget charge for the states interned
+/// since the last charge, count caps probed before the clock. Tying the
+/// probe to pop order makes an aborted build's error and partial stats
+/// independent of how its levels were scheduled.
+fn probe_pop(
+    id: usize,
+    interned: usize,
+    limit: usize,
+    meter: &BudgetMeter,
+    charged: &mut usize,
+) -> Result<(), CheckError> {
+    if interned > limit {
+        return Err(CheckError::StateLimit(limit));
+    }
+    if meter.is_limited() && id.is_multiple_of(PROBE_STRIDE) {
+        let fresh = (interned - *charged) as u64;
+        *charged = interned;
+        meter.charge_and_probe(fresh).map_err(CheckError::Budget)?;
+    }
+    Ok(())
+}
+
+/// Seals a completed build: charges the states interned since the last
+/// probe so the next build sharing `meter` sees an accurate run total
+/// (completed work is never failed retroactively, so the probe result is
+/// ignored), folds the build's stats into `stats` and the process
+/// counter, and links the predecessor lists.
+fn finish_build(
+    mut g: ReachGraph,
+    meter: &BudgetMeter,
+    charged: usize,
+    stats: &mut CheckStats,
+) -> ReachGraph {
+    if meter.is_limited() {
+        let _ = meter.charge_and_probe((g.node_count() - charged) as u64);
+    }
+    STATES_EXPLORED.fetch_add(g.stats.states, Ordering::Relaxed);
+    stats.absorb(g.stats);
+    g.build_predecessors();
+    g
+}
+
+/// Serial BFS over the wide value-vector arena, for models whose domain
+/// product does not fit a `u64` key — the one input the packed layout
+/// cannot represent.
 fn explore_wide(
     c: &CompiledModel,
     limit: usize,
@@ -1198,7 +1182,6 @@ fn explore_wide(
     // BFS with an implicit queue: pop order equals intern order, so the
     // frontier is just the ids in `next..len` and the CSR offsets can be
     // sealed as each node is popped.
-    let budgeted = meter.is_limited();
     let mut charged: usize = 0;
     let mut next: usize = 0;
     let mut level_end: usize = 0;
@@ -1210,28 +1193,8 @@ fn explore_wide(
             levels += 1;
             peak_level = peak_level.max((level_end - next) as u64);
         }
-        if b.len() > limit {
-            return Err(abort_partial(
-                stats,
-                b.len() as u64,
-                transitions,
-                peak_queue,
-                CheckError::StateLimit(limit),
-            ));
-        }
-        if budgeted && next.is_multiple_of(PROBE_STRIDE) {
-            let fresh = (b.len() - charged) as u64;
-            charged = b.len();
-            if let Err(e) = meter.charge_and_probe(fresh) {
-                return Err(abort_partial(
-                    stats,
-                    b.len() as u64,
-                    transitions,
-                    peak_queue,
-                    CheckError::Budget(e),
-                ));
-            }
-        }
+        probe_pop(next, b.len(), limit, meter, &mut charged)
+            .map_err(|e| abort_partial(stats, b.len() as u64, transitions, peak_queue, e))?;
         let id = next as u32;
         next += 1;
         b.arena.load(id, &mut cur);
@@ -1260,22 +1223,8 @@ fn explore_wide(
         peak_queue = peak_queue.max((b.len() - next) as u64);
     }
 
-    if budgeted {
-        // Charge the tail states so the *next* build sharing this meter
-        // sees an accurate run total; completed work is never failed
-        // retroactively, so the probe result is deliberately ignored.
-        let _ = meter.charge_and_probe((b.len() - charged) as u64);
-    }
     let states = b.len() as u64;
-    STATES_EXPLORED.fetch_add(states, Ordering::Relaxed);
-    let build_stats = CheckStats {
-        states,
-        transitions,
-        peak_queue,
-    };
-    stats.absorb(build_stats);
-
-    let mut g = ReachGraph {
+    let g = ReachGraph {
         num_vars,
         arena: b.arena,
         parent_node: b.parent_node,
@@ -1290,183 +1239,23 @@ fn explore_wide(
         levels,
         peak_level,
         workers: 1,
-        stats: build_stats,
-    };
-    g.build_predecessors();
-    Ok(g)
-}
-
-/// Serial BFS over the packed arena, expanding successors straight from
-/// the raw `u64` key: guards are evaluated field-wise on the key and
-/// updates applied as precomputed `(clear, set)` masks, so the per-pop
-/// `arena.load` unpack into a scratch `Vec<Value>` is gone entirely.
-/// Probe placement (state limit per pop, budget every [`PROBE_STRIDE`]
-/// pops) matches [`explore_wide`] exactly, so partial stats on the error
-/// paths stay bit-identical to the historical serial engine.
-fn explore_packed_serial(
-    c: &CompiledModel,
-    layout: PackLayout,
-    limit: usize,
-    meter: &BudgetMeter,
-    stats: &mut CheckStats,
-    por: bool,
-) -> Result<ReachGraph, CheckError> {
-    let num_vars = c.num_vars();
-    let cap = c.capacity_hint(limit);
-    let cmds = lower_packed_cmds(c, &layout);
-    let por = por_tables(c, &layout, &cmds, por);
-    let all_mask = all_cmds_mask(cmds.len());
-    // Guard verdict word per popped node (only filled when the reduction
-    // is active); a node's BFS parent is always popped first, so the
-    // parent's word is present when a child inherits from it.
-    let mut guard_bits: Vec<GuardWord> = Vec::new();
-    let mut commute_hits = 0u64;
-    let mut f = PackedFrontier::with_capacity(layout, cap);
-
-    for s in c.initial_states() {
-        let key = f.layout.pack(&s);
-        f.intern_key(key, (NO_PARENT, NO_PARENT));
-    }
-    let init_count = f.keys.len() as u32;
-
-    let mut succ_off: Vec<u32> = Vec::with_capacity(cap + 1);
-    succ_off.push(0);
-    let mut succ_cmd: Vec<u32> = Vec::new();
-    let mut succ_node: Vec<u32> = Vec::new();
-    let mut transitions = 0u64;
-    let mut peak_queue = init_count as u64;
-
-    let budgeted = meter.is_limited();
-    let mut charged: usize = 0;
-    let mut next: usize = 0;
-    let mut level_end: usize = 0;
-    let mut levels: u32 = 0;
-    let mut peak_level: u64 = 0;
-    while next < f.keys.len() {
-        if next == level_end {
-            level_end = f.keys.len();
-            levels += 1;
-            peak_level = peak_level.max((level_end - next) as u64);
-        }
-        if f.keys.len() > limit {
-            return Err(abort_partial(
-                stats,
-                f.keys.len() as u64,
-                transitions,
-                peak_queue,
-                CheckError::StateLimit(limit),
-            ));
-        }
-        if budgeted && next.is_multiple_of(PROBE_STRIDE) {
-            let fresh = (f.keys.len() - charged) as u64;
-            charged = f.keys.len();
-            if let Err(e) = meter.charge_and_probe(fresh) {
-                return Err(abort_partial(
-                    stats,
-                    f.keys.len() as u64,
-                    transitions,
-                    peak_queue,
-                    CheckError::Budget(e),
-                ));
-            }
-        }
-        let id = next as u32;
-        next += 1;
-        let key = f.keys[next - 1];
-        let mut any = false;
-        if let Some(tables) = &por {
-            let parent = f.parent_node[id as usize];
-            let word = if parent == NO_PARENT {
-                eval_guard_word(&cmds, key, all_mask)
-            } else {
-                let kept = tables.preserves[f.parent_cmd[id as usize] as usize];
-                commute_hits += gw_count_ones(kept);
-                gw_inherit(
-                    guard_bits[parent as usize],
-                    kept,
-                    eval_guard_word(&cmds, key, gw_andnot(all_mask, kept)),
-                )
-            };
-            guard_bits.push(word);
-            for (w, mut m) in word.into_iter().enumerate() {
-                while m != 0 {
-                    let i = w * 64 + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    any = true;
-                    transitions += 1;
-                    let pc = &cmds[i];
-                    let succ = (key & pc.clear) | pc.set;
-                    let sid = f.intern_key(succ, (id, i as u32));
-                    succ_cmd.push(i as u32);
-                    succ_node.push(sid);
-                }
-            }
-        } else {
-            for (i, pc) in cmds.iter().enumerate() {
-                if pc.guard.eval(key) {
-                    any = true;
-                    transitions += 1;
-                    let succ = (key & pc.clear) | pc.set;
-                    let sid = f.intern_key(succ, (id, i as u32));
-                    succ_cmd.push(i as u32);
-                    succ_node.push(sid);
-                }
-            }
-        }
-        if !any {
-            transitions += 1;
-            succ_cmd.push(STUTTER_CMD);
-            succ_node.push(id);
-        }
-        succ_off.push(succ_cmd.len() as u32);
-        peak_queue = peak_queue.max((f.keys.len() - next) as u64);
-    }
-
-    if budgeted {
-        let _ = meter.charge_and_probe((f.keys.len() - charged) as u64);
-    }
-    let states = f.keys.len() as u64;
-    STATES_EXPLORED.fetch_add(states, Ordering::Relaxed);
-    POR_COMMUTE_HITS.fetch_add(commute_hits, Ordering::Relaxed);
-    let build_stats = CheckStats {
-        states,
-        transitions,
-        peak_queue,
-    };
-    stats.absorb(build_stats);
-
-    let mut g = ReachGraph {
-        num_vars,
-        arena: StateArena::Packed {
-            layout: f.layout,
-            keys: f.keys,
+        stats: CheckStats {
+            states,
+            transitions,
+            peak_queue,
         },
-        parent_node: f.parent_node,
-        parent_cmd: f.parent_cmd,
-        succ_off,
-        succ_cmd,
-        succ_node,
-        pred_off: Vec::new(),
-        pred: Vec::new(),
-        init_count,
-        packed: true,
-        levels,
-        peak_level,
-        workers: 1,
-        stats: build_stats,
     };
-    g.build_predecessors();
-    Ok(g)
+    Ok(finish_build(g, meter, charged, stats))
 }
 
-/// Frontier chunk size for the work-sharing parallel loop. Small enough
-/// to balance uneven guard costs across workers, large enough that the
+/// Frontier chunk size for the work-sharing level loop. Small enough to
+/// balance uneven guard costs across workers, large enough that the
 /// claim counter is not contended.
 const LEVEL_CHUNK: usize = 256;
 
-/// One successor edge emitted by a worker: `known` is the successor's
-/// node id when it was already interned before this level froze, or
-/// `u32::MAX` when `key` is (possibly) fresh and the merge must intern.
+/// One successor edge of an expanded chunk: `known` is the successor's
+/// node id when a fan-out worker found it interned before the level
+/// froze, or `u32::MAX` when the merge must intern `key`.
 #[derive(Clone, Copy)]
 struct ChunkEdge {
     cmd: u32,
@@ -1474,11 +1263,12 @@ struct ChunkEdge {
     key: u64,
 }
 
-/// A worker's output for one claimed chunk: per-node enabled-edge counts
-/// (0 means the merge emits the deadlock stutter) and the flat edge list
-/// in `(node, command index)` order. When the partial-order reduction is
-/// active, `bits` carries each node's guard verdict word (for the next
-/// level's inheritance) and `hits` the commute hits counted here.
+/// One expanded chunk: per-node enabled-edge counts (0 means the merge
+/// emits the deadlock stutter) and the flat edge list in `(node, command
+/// index)` order. When the partial-order reduction is active, `bits`
+/// carries each node's guard verdict word (for the next level's
+/// inheritance) and `hits` the commute hits counted here.
+#[derive(Default)]
 struct ChunkOut {
     counts: Vec<u32>,
     edges: Vec<ChunkEdge>,
@@ -1486,109 +1276,165 @@ struct ChunkOut {
     hits: u64,
 }
 
-#[allow(clippy::too_many_arguments)]
-fn expand_chunk(
-    ci: usize,
-    level_start: usize,
-    level_end: usize,
-    keys: &[u64],
-    index: &FxHashMap<u64, u32>,
-    cmds: &[PackedCmd],
-    parents: (&[u32], &[u32]),
-    guard_bits: &[GuardWord],
-    por: Option<&PorTables>,
+/// A build's successor generator: the commands lowered to the packed
+/// layout, plus the partial-order tables when the reduction is on.
+struct Expander {
+    cmds: Vec<PackedCmd>,
+    por: Option<PorTables>,
     all_mask: GuardWord,
-) -> ChunkOut {
-    let lo = level_start + ci * LEVEL_CHUNK;
-    let hi = (lo + LEVEL_CHUNK).min(level_end);
-    let mut counts = Vec::with_capacity(hi - lo);
-    let mut edges = Vec::new();
-    let mut bits = Vec::new();
-    let mut hits = 0u64;
-    if por.is_some() {
-        bits.reserve(hi - lo);
-    }
-    for (j, &key) in keys[lo..hi].iter().enumerate() {
-        let mut cnt = 0u32;
-        if let Some(tables) = por {
-            // Parents of this level's nodes were interned (and popped)
-            // strictly before the level froze, so their guard words are
-            // already in the read-only `guard_bits` prefix.
-            let parent = parents.0[lo + j];
-            let word = if parent == NO_PARENT {
-                eval_guard_word(cmds, key, all_mask)
-            } else {
-                let kept = tables.preserves[parents.1[lo + j] as usize];
-                hits += gw_count_ones(kept);
-                gw_inherit(
-                    guard_bits[parent as usize],
-                    kept,
-                    eval_guard_word(cmds, key, gw_andnot(all_mask, kept)),
-                )
+}
+
+impl Expander {
+    /// Expands chunk `ci` of the frozen level `[start, end)` against the
+    /// read-only frontier `f` and the guard words of earlier levels,
+    /// overwriting `out` (whose buffers a one-worker build reuses from
+    /// chunk to chunk). With `pre_resolve`, successors already in the
+    /// visited table get their node id here, off the merge's critical
+    /// path — worth it only when other workers expand the level's
+    /// remaining chunks meanwhile.
+    fn expand_chunk(
+        &self,
+        ci: usize,
+        (start, end): (usize, usize),
+        f: &PackedFrontier,
+        guard_bits: &[GuardWord],
+        pre_resolve: bool,
+        out: &mut ChunkOut,
+    ) {
+        let lo = start + ci * LEVEL_CHUNK;
+        let hi = (lo + LEVEL_CHUNK).min(end);
+        let index = pre_resolve.then_some(&f.index);
+        out.counts.clear();
+        out.edges.clear();
+        out.bits.clear();
+        out.hits = 0;
+        for (id, &key) in (lo..hi).zip(&f.keys[lo..hi]) {
+            let edge = |i: usize| {
+                let pc = &self.cmds[i];
+                let succ = (key & pc.clear) | pc.set;
+                ChunkEdge {
+                    cmd: i as u32,
+                    known: index
+                        .and_then(|ix| ix.get(&succ).copied())
+                        .unwrap_or(u32::MAX),
+                    key: succ,
+                }
             };
-            bits.push(word);
-            for (w, mut m) in word.into_iter().enumerate() {
-                while m != 0 {
-                    let i = w * 64 + m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    let pc = &cmds[i];
-                    let succ = (key & pc.clear) | pc.set;
-                    let known = index.get(&succ).copied().unwrap_or(u32::MAX);
-                    edges.push(ChunkEdge {
-                        cmd: i as u32,
-                        known,
-                        key: succ,
-                    });
-                    cnt += 1;
+            let before = out.edges.len();
+            if let Some(tables) = &self.por {
+                // Parents of this level's nodes were interned (and
+                // popped) strictly before the level froze, so their
+                // guard words are already in `guard_bits`.
+                let parent = f.parent_node[id];
+                let word = if parent == NO_PARENT {
+                    eval_guard_word(&self.cmds, key, self.all_mask)
+                } else {
+                    let kept = tables.preserves[f.parent_cmd[id] as usize];
+                    out.hits += gw_count_ones(kept);
+                    gw_inherit(
+                        guard_bits[parent as usize],
+                        kept,
+                        eval_guard_word(&self.cmds, key, gw_andnot(self.all_mask, kept)),
+                    )
+                };
+                out.bits.push(word);
+                for (w, mut m) in word.into_iter().enumerate() {
+                    while m != 0 {
+                        out.edges.push(edge(w * 64 + m.trailing_zeros() as usize));
+                        m &= m - 1;
+                    }
+                }
+            } else {
+                for (i, pc) in self.cmds.iter().enumerate() {
+                    if pc.guard.eval(key) {
+                        out.edges.push(edge(i));
+                    }
                 }
             }
-        } else {
-            for (i, pc) in cmds.iter().enumerate() {
-                if pc.guard.eval(key) {
-                    let succ = (key & pc.clear) | pc.set;
-                    let known = index.get(&succ).copied().unwrap_or(u32::MAX);
-                    edges.push(ChunkEdge {
-                        cmd: i as u32,
-                        known,
-                        key: succ,
-                    });
-                    cnt += 1;
-                }
-            }
+            out.counts.push((out.edges.len() - before) as u32);
         }
-        counts.push(cnt);
-    }
-    ChunkOut {
-        counts,
-        edges,
-        bits,
-        hits,
     }
 }
 
-/// Level-synchronized parallel BFS over the packed arena.
+/// Runs `expand` over chunks `0..n_chunks` on `workers` scoped threads
+/// that claim chunks from an atomic counter, and returns the outputs in
+/// chunk order (claim order only balances load). A panicking worker does
+/// not poison the merge: the first payload in worker order is re-raised
+/// here once every worker has stopped, so the caller-side isolation
+/// rings see it like any other exploration panic.
+fn fan_out(
+    workers: usize,
+    n_chunks: usize,
+    expand: impl Fn(usize) -> ChunkOut + Sync,
+) -> Vec<ChunkOut> {
+    let next_chunk = AtomicUsize::new(0);
+    let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        let mut mine: Vec<(usize, ChunkOut)> = Vec::new();
+                        loop {
+                            let ci = next_chunk.fetch_add(1, Ordering::Relaxed);
+                            if ci >= n_chunks {
+                                break;
+                            }
+                            mine.push((ci, expand(ci)));
+                        }
+                        mine
+                    }))
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(Err))
+            .collect()
+    });
+    let mut slots: Vec<Option<ChunkOut>> = Vec::with_capacity(n_chunks);
+    slots.resize_with(n_chunks, || None);
+    let mut first_panic = None;
+    for outcome in outcomes {
+        match outcome {
+            Ok(mine) => {
+                for (ci, out) in mine {
+                    slots[ci] = Some(out);
+                }
+            }
+            Err(payload) => {
+                first_panic.get_or_insert(payload);
+            }
+        }
+    }
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
+    }
+    slots
+        .into_iter()
+        .map(|s| s.expect("every chunk claimed exactly once"))
+        .collect()
+}
+
+/// Level-synchronized BFS over the packed arena, expanding successors
+/// straight from the raw `u64` key: guards are evaluated field-wise on
+/// the key and updates applied as precomputed `(clear, set)` masks.
 ///
-/// Each level `[level_start, level_end)` is frozen before expansion:
-/// workers claim [`LEVEL_CHUNK`]-sized chunks from an atomic counter and
-/// expand them against the *read-only* key arena and visited table,
-/// writing successors into per-chunk buffers (claim order is
-/// load-balancing only — every chunk's output lands in its own slot).
-/// A single-threaded merge then walks the chunks in pop order and
+/// Each level `[level_start, level_end)` is frozen before expansion.
+/// When it spans several [`LEVEL_CHUNK`]s and `explore_threads > 1`,
+/// workers expand the chunks in parallel against the read-only frontier
+/// ([`fan_out`]); otherwise each chunk is expanded just before its
+/// merge. The single-threaded merge walks the chunks in pop order and
 /// interns fresh states in canonical `(parent pop order, command index)`
-/// order. Because everything interned before the freeze has an id below
-/// `level_end`, and the serial engine also hands out all ids ≥
-/// `level_end` in exactly that canonical order, node ids, BFS parents,
-/// CSR layout, `peak_queue`, and transition counts are byte-identical to
-/// the serial paths at any worker count.
+/// order — the order of a serial implicit-queue BFS — so node ids, BFS
+/// parents, CSR layout, `peak_queue`, and transition counts are the same
+/// at any worker count.
 ///
-/// The budget is charged at level barriers (fresh states since the last
-/// barrier, count caps probed before the clock), so count-cap exhaustion
-/// trips at the same level on every run regardless of worker scheduling.
-/// A panicking worker does not poison the merge: the first payload (in
-/// worker order) is re-raised on this thread once all workers have
-/// stopped, which the caller-side isolation rings catch as usual.
-#[allow(clippy::too_many_arguments)]
-fn explore_packed_parallel(
+/// The merge also runs [`probe_pop`] before each node in pop order, with
+/// the level's first node probed at the barrier before any of the level
+/// is expanded. Probe placement is therefore that of a serial BFS, and
+/// the error and partial stats of a `StateLimit` or `Budget` abort are
+/// worker-count invariant too.
+fn explore_packed(
     c: &CompiledModel,
     layout: PackLayout,
     limit: usize,
@@ -1597,14 +1443,16 @@ fn explore_packed_parallel(
     explore_threads: usize,
     por: bool,
 ) -> Result<ReachGraph, CheckError> {
-    let num_vars = c.num_vars();
     let cap = c.capacity_hint(limit);
     let cmds = lower_packed_cmds(c, &layout);
-    let por = por_tables(c, &layout, &cmds, por);
-    let all_mask = all_cmds_mask(cmds.len());
-    // Guard words by node id; frozen (read-only) while a level expands —
-    // every parent of a level's nodes sits below `level_start` — and
-    // extended by the merge, so the next level sees this one's words.
+    let x = Expander {
+        por: por_tables(c, &layout, &cmds, por),
+        all_mask: all_cmds_mask(cmds.len()),
+        cmds,
+    };
+    // Guard words by node id; read-only while a level expands — every
+    // parent of a level's nodes sits below `level_start` — and extended
+    // by the merge, so the next level sees this one's words.
     let mut guard_bits: Vec<GuardWord> = Vec::new();
     let mut commute_hits = 0u64;
     let mut f = PackedFrontier::with_capacity(layout, cap);
@@ -1622,160 +1470,67 @@ fn explore_packed_parallel(
     let mut transitions = 0u64;
     let mut peak_queue = init_count as u64;
 
-    let budgeted = meter.is_limited();
     let mut charged: usize = 0;
     let mut level_start: usize = 0;
     let mut levels: u32 = 0;
     let mut peak_level: u64 = 0;
+    // One-worker chunks expand into these buffers, reused chunk to chunk.
+    let mut spare = ChunkOut::default();
 
     while level_start < f.keys.len() {
         let level_end = f.keys.len();
+        let level = (level_start, level_end);
         levels += 1;
         peak_level = peak_level.max((level_end - level_start) as u64);
-        if level_end > limit {
-            return Err(abort_partial(
-                stats,
-                level_end as u64,
-                transitions,
-                peak_queue,
-                CheckError::StateLimit(limit),
-            ));
-        }
-        if budgeted {
-            // Budget at the barrier: charge everything interned since
-            // the previous barrier before expanding this level. Count
-            // caps are probed before the clock, so the trip point
-            // depends only on the level structure — bit-deterministic
-            // at any worker count.
-            let fresh = (level_end - charged) as u64;
-            charged = level_end;
-            if let Err(e) = meter.charge_and_probe(fresh) {
-                return Err(abort_partial(
-                    stats,
-                    level_end as u64,
-                    transitions,
-                    peak_queue,
-                    CheckError::Budget(e),
-                ));
-            }
-        }
+        probe_pop(level_start, level_end, limit, meter, &mut charged)
+            .map_err(|e| abort_partial(stats, level_end as u64, transitions, peak_queue, e))?;
 
-        let width = level_end - level_start;
-        let n_chunks = width.div_ceil(LEVEL_CHUNK);
+        let n_chunks = (level_end - level_start).div_ceil(LEVEL_CHUNK);
         let workers = explore_threads.min(n_chunks);
-        let mut slots: Vec<Option<ChunkOut>> = Vec::with_capacity(n_chunks);
-        slots.resize_with(n_chunks, || None);
-
-        if workers <= 1 {
-            // Narrow level: not worth a fan-out, expand inline through
-            // the same chunk code path.
-            for (ci, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(expand_chunk(
-                    ci,
-                    level_start,
-                    level_end,
-                    &f.keys,
-                    &f.index,
-                    &cmds,
-                    (&f.parent_node, &f.parent_cmd),
-                    &guard_bits,
-                    por.as_ref(),
-                    all_mask,
-                ));
-            }
+        let mut fanned = if workers > 1 {
+            fan_out(workers, n_chunks, |ci| {
+                let mut out = ChunkOut::default();
+                x.expand_chunk(ci, level, &f, &guard_bits, true, &mut out);
+                out
+            })
         } else {
-            let next_chunk = AtomicUsize::new(0);
-            let keys_ref: &[u64] = &f.keys;
-            let index_ref = &f.index;
-            let cmds_ref = &cmds;
-            let parents_ref = (&f.parent_node[..], &f.parent_cmd[..]);
-            let guard_ref: &[GuardWord] = &guard_bits;
-            let por_ref = por.as_ref();
-            let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                let mut mine: Vec<(usize, ChunkOut)> = Vec::new();
-                                loop {
-                                    let ci = next_chunk.fetch_add(1, Ordering::Relaxed);
-                                    if ci >= n_chunks {
-                                        break;
-                                    }
-                                    mine.push((
-                                        ci,
-                                        expand_chunk(
-                                            ci,
-                                            level_start,
-                                            level_end,
-                                            keys_ref,
-                                            index_ref,
-                                            cmds_ref,
-                                            parents_ref,
-                                            guard_ref,
-                                            por_ref,
-                                            all_mask,
-                                        ),
-                                    ));
-                                }
-                                mine
-                            }))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap_or_else(Err))
-                    .collect()
-            });
-            let mut first_panic = None;
-            for outcome in outcomes {
-                match outcome {
-                    Ok(mine) => {
-                        for (ci, out) in mine {
-                            slots[ci] = Some(out);
-                        }
-                    }
-                    Err(payload) => {
-                        if first_panic.is_none() {
-                            first_panic = Some(payload);
-                        }
-                    }
-                }
-            }
-            if let Some(payload) = first_panic {
-                // Surface the worker panic on the exploring thread so
-                // the caller's isolation ring sees it exactly like a
-                // serial-path panic.
-                std::panic::resume_unwind(payload);
-            }
+            Vec::new()
         }
+        .into_iter();
 
-        // Deterministic merge: walk nodes in pop order, interning fresh
-        // successors in (pop order, command index) order — the exact
-        // order the serial implicit queue would have used.
-        for (ci, slot) in slots.into_iter().enumerate() {
-            let out = slot.expect("every chunk claimed exactly once");
+        for ci in 0..n_chunks {
+            let out = match fanned.next() {
+                Some(out) => out,
+                None => {
+                    let mut out = std::mem::take(&mut spare);
+                    x.expand_chunk(ci, level, &f, &guard_bits, false, &mut out);
+                    out
+                }
+            };
             // Chunks cover the level contiguously in order, so appending
-            // their guard words here keeps `guard_bits` indexed by node
-            // id, ready for the next level's inheritance.
+            // their guard words keeps `guard_bits` indexed by node id.
             guard_bits.extend_from_slice(&out.bits);
             commute_hits += out.hits;
             let base = level_start + ci * LEVEL_CHUNK;
             let mut e = 0usize;
             for (j, &cnt) in out.counts.iter().enumerate() {
-                let id = (base + j) as u32;
+                let id = base + j;
+                if id > level_start {
+                    probe_pop(id, f.keys.len(), limit, meter, &mut charged).map_err(|err| {
+                        abort_partial(stats, f.keys.len() as u64, transitions, peak_queue, err)
+                    })?;
+                }
                 if cnt == 0 {
                     transitions += 1;
                     succ_cmd.push(STUTTER_CMD);
-                    succ_node.push(id);
+                    succ_node.push(id as u32);
                 } else {
                     for edge in &out.edges[e..e + cnt as usize] {
                         transitions += 1;
                         let sid = if edge.known != u32::MAX {
                             edge.known
                         } else {
-                            f.intern_key(edge.key, (id, edge.cmd))
+                            f.intern_key(edge.key, (id as u32, edge.cmd))
                         };
                         succ_cmd.push(edge.cmd);
                         succ_node.push(sid);
@@ -1783,27 +1538,17 @@ fn explore_packed_parallel(
                     e += cnt as usize;
                 }
                 succ_off.push(succ_cmd.len() as u32);
-                peak_queue = peak_queue.max((f.keys.len() - (base + j + 1)) as u64);
+                peak_queue = peak_queue.max((f.keys.len() - (id + 1)) as u64);
             }
+            spare = out;
         }
         level_start = level_end;
     }
 
-    if budgeted {
-        let _ = meter.charge_and_probe((f.keys.len() - charged) as u64);
-    }
-    let states = f.keys.len() as u64;
-    STATES_EXPLORED.fetch_add(states, Ordering::Relaxed);
     POR_COMMUTE_HITS.fetch_add(commute_hits, Ordering::Relaxed);
-    let build_stats = CheckStats {
-        states,
-        transitions,
-        peak_queue,
-    };
-    stats.absorb(build_stats);
-
-    let mut g = ReachGraph {
-        num_vars,
+    let states = f.keys.len() as u64;
+    let g = ReachGraph {
+        num_vars: c.num_vars(),
         arena: StateArena::Packed {
             layout: f.layout,
             keys: f.keys,
@@ -1820,10 +1565,13 @@ fn explore_packed_parallel(
         levels,
         peak_level,
         workers: explore_threads as u32,
-        stats: build_stats,
+        stats: CheckStats {
+            states,
+            transitions,
+            peak_queue,
+        },
     };
-    g.build_predecessors();
-    Ok(g)
+    Ok(finish_build(g, meter, charged, stats))
 }
 
 // ---------------------------------------------------------------------------
@@ -2352,6 +2100,11 @@ pub fn validate_property(model: &Model, property: &Property) -> Result<(), Check
 
 /// Checks a property with an explicit state limit.
 ///
+/// Internally this is explore + evaluate: it builds a private
+/// [`ReachGraph`] and answers the property as a query over it. Callers
+/// checking many properties against one model should build the graph
+/// once ([`build_reach_graph`]) and use [`check_on_graph`] instead.
+///
 /// # Errors
 ///
 /// Returns [`CheckError::InvalidModel`] if the model references
@@ -2362,68 +2115,22 @@ pub fn check_bounded(
     property: &Property,
     limit: usize,
 ) -> Result<Verdict, CheckError> {
-    let mut stats = CheckStats::default();
-    check_bounded_stats(model, property, limit, &mut stats)
-}
-
-/// [`check_bounded`] that additionally records the named counters on
-/// `collector`: `smv.checks`, `smv.states_explored`, `smv.transitions`,
-/// and `smv.peak_queue` (high-water mark). Counters are recorded even
-/// when the check errors out, so a state-limit blowup is visible in the
-/// telemetry. Returns the verdict together with this check's stats.
-///
-/// # Errors
-///
-/// Same as [`check_bounded`].
-pub fn check_bounded_traced(
-    model: &Model,
-    property: &Property,
-    limit: usize,
-    collector: &Collector,
-) -> Result<(Verdict, CheckStats), CheckError> {
-    let mut stats = CheckStats::default();
-    let result = check_bounded_stats(model, property, limit, &mut stats);
-    collector.add("smv.checks", 1);
-    collector.add("smv.states_explored", stats.states);
-    collector.add("smv.transitions", stats.transitions);
-    collector.record_max("smv.peak_queue", stats.peak_queue);
-    result.map(|verdict| (verdict, stats))
-}
-
-/// Checks a property, accumulating exploration telemetry into `stats`.
-/// `stats` grows even on the error path (the state-limit case records
-/// how many states were interned before the limit tripped), so CEGAR
-/// callers can keep one accumulator across refinement iterations.
-///
-/// Internally this is explore + evaluate: it builds a private
-/// [`ReachGraph`] and answers the property as a query over it. Callers
-/// checking many properties against one model should build the graph
-/// once ([`build_reach_graph`]) and use [`check_on_graph`] instead.
-///
-/// # Errors
-///
-/// Same as [`check_bounded`].
-pub fn check_bounded_stats(
-    model: &Model,
-    property: &Property,
-    limit: usize,
-    stats: &mut CheckStats,
-) -> Result<Verdict, CheckError> {
     let c = CompiledModel::new(model)?;
     // Reject bad property vocabulary before paying for exploration,
     // preserving the historical error precedence (model problems, then
     // property problems, then state-limit blowups).
     let cp = c.compile_property(property)?;
     let meter = BudgetMeter::unlimited();
-    let g = explore_graph(&c, limit, &meter, stats, 1, por_default())?;
-    let mut q = QueryStats::default();
-    let verdict = check_compiled_on_graph(&c, &g, &cp, &c.exclusion_set(), limit, &meter, &mut q)?;
-    stats.absorb(CheckStats {
-        states: q.product_states,
-        transitions: q.transitions,
-        peak_queue: q.peak_queue,
-    });
-    Ok(verdict)
+    let g = explore_graph(&c, limit, &meter, &mut CheckStats::default(), 1, true)?;
+    check_compiled_on_graph(
+        &c,
+        &g,
+        &cp,
+        &c.exclusion_set(),
+        limit,
+        &meter,
+        &mut QueryStats::default(),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -2612,6 +2319,36 @@ mod tests {
         check(m, p).expect("test model valid")
     }
 
+    /// 8 independent 4-valued variables -> 4^8 = 65536 states.
+    fn big() -> Model {
+        let mut m = Model::new("big");
+        let domain = ["0", "1", "2", "3"];
+        for i in 0..8 {
+            m.declare_var(&format!("v{i}"), &domain, &["0"]);
+        }
+        for i in 0..8 {
+            for (a, b) in [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")] {
+                m.add_command(
+                    GuardedCmd::new(format!("v{i}_{a}to{b}"), Expr::var_eq(format!("v{i}"), a))
+                        .set(format!("v{i}"), b),
+                );
+            }
+        }
+        m
+    }
+
+    /// [`build_reach_graph_budgeted_opts`] with POR on, at `width`
+    /// exploration workers.
+    fn build(
+        c: &CompiledModel,
+        limit: usize,
+        meter: &BudgetMeter,
+        stats: &mut CheckStats,
+        width: usize,
+    ) -> Result<ReachGraph, CheckError> {
+        build_reach_graph_budgeted_opts(c, limit, meter, stats, width, true)
+    }
+
     /// A 3-state token ring: idle -> req -> done -> idle.
     fn ring(with_drop: bool) -> Model {
         let mut m = Model::new("ring");
@@ -2777,20 +2514,7 @@ mod tests {
 
     #[test]
     fn state_limit_enforced() {
-        let mut m = Model::new("big");
-        // 8 independent 4-valued variables -> 4^8 = 65536 states.
-        let domain = ["0", "1", "2", "3"];
-        for i in 0..8 {
-            m.declare_var(&format!("v{i}"), &domain, &["0"]);
-        }
-        for i in 0..8 {
-            for (a, b) in [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")] {
-                m.add_command(
-                    GuardedCmd::new(format!("v{i}_{a}to{b}"), Expr::var_eq(format!("v{i}"), a))
-                        .set(format!("v{i}"), b),
-                );
-            }
-        }
+        let m = big();
         let err = check_bounded(&m, &Property::invariant("x", Expr::True), 1000).unwrap_err();
         assert!(matches!(err, CheckError::StateLimit(1000)));
         // And with an adequate limit it completes.
@@ -2828,19 +2552,19 @@ mod tests {
 
     #[test]
     fn check_stats_match_exploration() {
-        let m = ring(false);
-        let p = Property::invariant("domain", Expr::var_in("st", ["idle", "req", "done"]));
+        let c = CompiledModel::new(&ring(false)).unwrap();
+        let meter = BudgetMeter::unlimited();
         let mut stats = CheckStats::default();
-        let verdict = check_bounded_stats(&m, &p, 1000, &mut stats).unwrap();
-        assert_eq!(verdict, Verdict::Holds);
+        let g = build(&c, 1000, &meter, &mut stats, 1).unwrap();
+        assert_eq!(g.build_stats(), stats);
         assert_eq!(stats.states, 3);
         assert_eq!(stats.transitions, 3);
         assert!(stats.peak_queue >= 1);
 
-        // The accumulator folds across checks: a second check doubles the
+        // The accumulator folds across builds: a second build doubles the
         // monotonic counters and keeps the peak as a max.
         let first = stats;
-        check_bounded_stats(&m, &p, 1000, &mut stats).unwrap();
+        build(&c, 1000, &meter, &mut stats, 1).unwrap();
         assert_eq!(stats.states, first.states * 2);
         assert_eq!(stats.transitions, first.transitions * 2);
         assert_eq!(stats.peak_queue, first.peak_queue);
@@ -2848,47 +2572,12 @@ mod tests {
 
     #[test]
     fn stats_recorded_even_when_state_limit_trips() {
-        let mut m = Model::new("big");
-        let domain = ["0", "1", "2", "3"];
-        for i in 0..8 {
-            m.declare_var(&format!("v{i}"), &domain, &["0"]);
-        }
-        for i in 0..8 {
-            for (a, b) in [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")] {
-                m.add_command(
-                    GuardedCmd::new(format!("v{i}_{a}to{b}"), Expr::var_eq(format!("v{i}"), a))
-                        .set(format!("v{i}"), b),
-                );
-            }
-        }
+        let m = big();
+        let c = CompiledModel::new(&m).unwrap();
         let mut stats = CheckStats::default();
-        let err = check_bounded_stats(&m, &Property::invariant("x", Expr::True), 1000, &mut stats)
-            .unwrap_err();
+        let err = build(&c, 1000, &BudgetMeter::unlimited(), &mut stats, 1).unwrap_err();
         assert!(matches!(err, CheckError::StateLimit(1000)));
         assert!(stats.states > 1000, "partial exploration must be visible");
-    }
-
-    #[test]
-    fn traced_check_records_collector_counters() {
-        use procheck_telemetry::Collector;
-        let m = ring(false);
-        let p = Property::invariant("domain", Expr::var_in("st", ["idle", "req", "done"]));
-
-        let collector = Collector::enabled();
-        let (verdict, stats) = check_bounded_traced(&m, &p, 1000, &collector).unwrap();
-        assert_eq!(verdict, Verdict::Holds);
-        assert_eq!(collector.counter_value("smv.checks"), 1);
-        assert_eq!(collector.counter_value("smv.states_explored"), stats.states);
-        assert_eq!(
-            collector.counter_value("smv.transitions"),
-            stats.transitions
-        );
-        assert_eq!(collector.counter_value("smv.peak_queue"), stats.peak_queue);
-
-        // A disabled collector yields the identical verdict and stats.
-        let (v2, s2) = check_bounded_traced(&m, &p, 1000, &Collector::disabled()).unwrap();
-        assert_eq!(v2, verdict);
-        assert_eq!(s2, stats);
     }
 
     // --- explore-once / query-many -------------------------------------
@@ -3061,23 +2750,9 @@ mod tests {
     /// single-pass exploration did.
     #[test]
     fn graph_build_honours_state_limit() {
-        let mut m = Model::new("big");
-        let domain = ["0", "1", "2", "3"];
-        for i in 0..8 {
-            m.declare_var(&format!("v{i}"), &domain, &["0"]);
-        }
-        for i in 0..8 {
-            for (a, b) in [("0", "1"), ("1", "2"), ("2", "3"), ("3", "0")] {
-                m.add_command(
-                    GuardedCmd::new(format!("v{i}_{a}to{b}"), Expr::var_eq(format!("v{i}"), a))
-                        .set(format!("v{i}"), b),
-                );
-            }
-        }
-        let mut stats = CheckStats::default();
-        let err = build_reach_graph_stats(&m, 1000, &mut stats).unwrap_err();
+        let m = big();
+        let err = build_reach_graph(&m, 1000).unwrap_err();
         assert!(matches!(err, CheckError::StateLimit(1000)));
-        assert!(stats.states > 1000, "partial exploration must be visible");
     }
 
     /// `validate_property` mirrors the full check's error precedence
@@ -3117,7 +2792,7 @@ mod tests {
             let c = CompiledModel::new(&lattice()).expect("valid");
             let meter = budget.start();
             let mut stats = CheckStats::default();
-            let err = build_reach_graph_budgeted(&c, 1_000_000, &meter, &mut stats, 1)
+            let err = build(&c, 1_000_000, &meter, &mut stats, 1)
                 .expect_err("cap below 4096 reachable states");
             (err, stats)
         };
@@ -3138,8 +2813,8 @@ mod tests {
     }
 
     /// Compares every field of two graphs, including the raw packed
-    /// arena keys — the parallel frontier must reproduce the serial
-    /// engine's intern order exactly, not merely an isomorphic graph.
+    /// arena keys — every worker count must reproduce the one-worker
+    /// intern order exactly, not merely an isomorphic graph.
     fn assert_graphs_identical(a: &ReachGraph, b: &ReachGraph) {
         match (&a.arena, &b.arena) {
             (StateArena::Packed { keys: ka, .. }, StateArena::Packed { keys: kb, .. }) => {
@@ -3165,19 +2840,11 @@ mod tests {
         for model in [ring(true), ring(false), lattice()] {
             let c = CompiledModel::new(&model).expect("valid");
             let mut s1 = CheckStats::default();
-            let serial =
-                build_reach_graph_budgeted(&c, 1_000_000, &BudgetMeter::unlimited(), &mut s1, 1)
-                    .expect("fits");
+            let serial = build(&c, 1_000_000, &BudgetMeter::unlimited(), &mut s1, 1).expect("fits");
             for width in [2usize, 4, 8] {
                 let mut s2 = CheckStats::default();
-                let parallel = build_reach_graph_budgeted(
-                    &c,
-                    1_000_000,
-                    &BudgetMeter::unlimited(),
-                    &mut s2,
-                    width,
-                )
-                .expect("fits");
+                let parallel =
+                    build(&c, 1_000_000, &BudgetMeter::unlimited(), &mut s2, width).expect("fits");
                 assert_graphs_identical(&serial, &parallel);
                 assert_eq!(s1, s2, "absorbed stats diverge at width {width}");
                 assert_eq!(parallel.explore_workers(), width as u32);
@@ -3185,9 +2852,9 @@ mod tests {
         }
     }
 
-    /// Budget-at-barrier: count-cap exhaustion under the parallel
-    /// frontier trips at the same level with the same partial stats on
-    /// every run — worker scheduling never shows in the outcome.
+    /// Count-cap exhaustion under a four-worker frontier trips at the
+    /// same pop with the same partial stats on every run — worker
+    /// scheduling never shows in the outcome.
     #[test]
     fn parallel_budget_exhaustion_is_deterministic() {
         use crate::budget::Budget;
@@ -3196,7 +2863,7 @@ mod tests {
             let c = CompiledModel::new(&lattice()).expect("valid");
             let meter = budget.start();
             let mut stats = CheckStats::default();
-            let err = build_reach_graph_budgeted(&c, 1_000_000, &meter, &mut stats, 4)
+            let err = build(&c, 1_000_000, &meter, &mut stats, 4)
                 .expect_err("cap below 4096 reachable states");
             (err, stats)
         };
@@ -3215,10 +2882,49 @@ mod tests {
     fn parallel_state_limit_reports_partial_stats() {
         let c = CompiledModel::new(&lattice()).expect("valid");
         let mut stats = CheckStats::default();
-        let err = build_reach_graph_budgeted(&c, 100, &BudgetMeter::unlimited(), &mut stats, 4)
+        let err = build(&c, 100, &BudgetMeter::unlimited(), &mut stats, 4)
             .expect_err("4096 states exceed a limit of 100");
         assert_eq!(err, CheckError::StateLimit(100));
         assert!(stats.states > 100, "partial stats absorbed: {stats:?}");
+    }
+
+    /// The state-limit and budget aborts probe in pop order, so the error
+    /// and the absorbed partial stats are the same at every worker count.
+    /// The literals are those of a serial BFS probing before every pop;
+    /// probing only at level barriers would overshoot them (299 states at
+    /// limit 100).
+    #[test]
+    fn error_paths_are_worker_count_invariant() {
+        use crate::budget::Budget;
+        let c = CompiledModel::new(&lattice()).expect("valid");
+        for width in [1usize, 2, 4, 8] {
+            let mut stats = CheckStats::default();
+            let err = build(&c, 100, &BudgetMeter::unlimited(), &mut stats, width)
+                .expect_err("4096 states exceed a limit of 100");
+            assert_eq!(err, CheckError::StateLimit(100), "width {width}");
+            let pinned = CheckStats {
+                states: 106,
+                transitions: 174,
+                peak_queue: 90,
+            };
+            assert_eq!(stats, pinned, "state-limit stats at width {width}");
+
+            let meter = Budget::unlimited().with_total_states(2000).start();
+            let mut stats = CheckStats::default();
+            let err = build(&c, 1_000_000, &meter, &mut stats, width)
+                .expect_err("cap below 4096 reachable states");
+            assert_eq!(
+                err,
+                CheckError::Budget(BudgetExceeded::TotalStates { limit: 2000 }),
+                "width {width}"
+            );
+            let pinned = CheckStats {
+                states: 2972,
+                transitions: 15060,
+                peak_queue: 988,
+            };
+            assert_eq!(stats, pinned, "budget stats at width {width}");
+        }
     }
 
     #[test]
@@ -3229,8 +2935,7 @@ mod tests {
             .with_deadline(std::time::Duration::ZERO)
             .start();
         let mut stats = CheckStats::default();
-        let err = build_reach_graph_budgeted(&c, 1_000_000, &meter, &mut stats, 1)
-            .expect_err("deadline already passed");
+        let err = build(&c, 1_000_000, &meter, &mut stats, 1).expect_err("deadline already passed");
         assert!(matches!(
             err,
             CheckError::Budget(BudgetExceeded::Deadline { .. })
@@ -3239,16 +2944,13 @@ mod tests {
 
     #[test]
     fn unlimited_budget_matches_unbudgeted_build() {
+        let g1 = build_reach_graph(&lattice(), 1_000_000).expect("fits");
         let c = CompiledModel::new(&lattice()).expect("valid");
-        let mut s1 = CheckStats::default();
-        let g1 = build_reach_graph_compiled(&c, 1_000_000, &mut s1).expect("fits");
         let mut s2 = CheckStats::default();
-        let g2 = build_reach_graph_budgeted(&c, 1_000_000, &BudgetMeter::unlimited(), &mut s2, 1)
-            .expect("fits");
+        let g2 = build(&c, 1_000_000, &BudgetMeter::unlimited(), &mut s2, 1).expect("fits");
         assert_eq!(g1.node_count(), 4096);
-        assert_eq!(g1.node_count(), g2.node_count());
-        assert_eq!(g1.edge_count(), g2.edge_count());
-        assert_eq!(s1, s2);
+        assert_graphs_identical(&g1, &g2);
+        assert_eq!(g1.build_stats(), s2);
     }
 
     #[test]
@@ -3256,8 +2958,14 @@ mod tests {
         use crate::budget::Budget;
         let m = ring(true);
         let c = CompiledModel::new(&m).expect("valid");
-        let mut build = CheckStats::default();
-        let g = build_reach_graph_compiled(&c, 1000, &mut build).expect("tiny");
+        let g = build(
+            &c,
+            1000,
+            &BudgetMeter::unlimited(),
+            &mut CheckStats::default(),
+            1,
+        )
+        .expect("tiny");
         let p = c
             .compile_property(&Property::response(
                 "served",

@@ -10,8 +10,9 @@
 //!   as SMV);
 //! * [`expr`] — the boolean expression language over those variables;
 //! * [`checker`] — an explicit-state engine split into an explore phase
-//!   (one interned-state BFS per model, producing a cached
-//!   [`reach::ReachGraph`]) and an evaluate phase (invariants,
+//!   (one level-synchronized, interned-state BFS per model, identical at
+//!   any worker count, producing a cached [`reach::ReachGraph`]) and an
+//!   evaluate phase (invariants,
 //!   reachability, precedence, and product-monitor + SCC response
 //!   checks under optional fairness constraints, all answered as
 //!   queries over that graph);
@@ -29,7 +30,9 @@
 //!
 //! Explicit-state search is exact and fast at this problem's scale
 //! (threat-composed NAS models stay well below a million reachable
-//! states); see DESIGN.md §5.
+//! states); see DESIGN.md §5. The crate reads no environment variable:
+//! every switch (worker count, partial-order reduction, budget) is a
+//! parameter, defaulted by the pipeline's `AnalysisConfig`.
 //!
 //! # Example
 //!
@@ -66,10 +69,10 @@ pub mod trace;
 pub use backend::{BackendVerdict, CheckBackend, ExplicitBackend};
 pub use budget::{Budget, BudgetExceeded, BudgetMeter};
 pub use checker::{
-    build_reach_graph_budgeted_opts, check, por_commute_hits_total, por_default, CompiledModel,
+    build_reach_graph_budgeted_opts, check, por_commute_hits_total, CompiledModel,
     CompiledProperty, Property, Verdict,
 };
-pub use coi::{expand_counterexample, slice_default, slice_for_property, ConeSig, SlicedModel};
+pub use coi::{expand_counterexample, slice_for_property, ConeSig, SlicedModel};
 pub use expr::Expr;
 pub use model::{GuardedCmd, Model};
 pub use persist::{model_fingerprint, model_semantic_fingerprint, ReachGraphData};

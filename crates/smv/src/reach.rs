@@ -210,7 +210,9 @@ pub struct ReachGraph {
     pub(crate) levels: u32,
     /// Widest single BFS level encountered during exploration.
     pub(crate) peak_level: u64,
-    /// Worker threads the exploration ran with (1 = serial path).
+    /// The `explore_threads` the exploration ran with (at least 1; the
+    /// wide arena always explores on one thread). Levels narrower than
+    /// two frontier chunks never fan out, whatever this says.
     pub(crate) workers: u32,
     /// Exploration cost of building this graph.
     pub(crate) stats: CheckStats,
@@ -249,7 +251,7 @@ impl ReachGraph {
     }
 
     /// Number of BFS levels (depth layers) the exploration walked.
-    /// Identical for the serial and parallel paths by construction.
+    /// Identical at any worker count by construction.
     pub fn levels(&self) -> u32 {
         self.levels
     }
@@ -259,7 +261,8 @@ impl ReachGraph {
         self.peak_level
     }
 
-    /// Worker threads exploration ran with (1 = serial path).
+    /// The `explore_threads` exploration ran with (at least 1; always 1
+    /// for the wide arena). The graph is identical at any value.
     pub fn explore_workers(&self) -> u32 {
         self.workers
     }

@@ -23,8 +23,8 @@ use std::collections::BTreeMap;
 use procheck_ident::Sym;
 use procheck_smv::budget::BudgetMeter;
 use procheck_smv::checker::{
-    build_reach_graph_budgeted, check_on_graph, CheckStats, CompiledModel, Property, QueryStats,
-    Verdict,
+    build_reach_graph_budgeted_opts, check_on_graph, CheckStats, CompiledModel, Property,
+    QueryStats, Verdict,
 };
 use procheck_smv::expr::Expr;
 use procheck_smv::model::{GuardedCmd, Model};
@@ -179,12 +179,13 @@ proptest! {
         let prop = property_of(kind);
         let cp = compiled.compile_property(&prop).expect("vars always exist");
         let mut stats = CheckStats::default();
-        let graph = build_reach_graph_budgeted(
+        let graph = build_reach_graph_budgeted_opts(
             &compiled,
             LIMIT,
             &BudgetMeter::unlimited(),
             &mut stats,
             1,
+            true,
         )
         .expect("random 3^4 models are far below the limit");
         let n_cmds = model.commands().len();

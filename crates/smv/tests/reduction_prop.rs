@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 
 use procheck_ident::Sym;
 use procheck_smv::checker::{
-    build_reach_graph_budgeted, build_reach_graph_budgeted_opts, check_on_graph, CheckStats,
-    CompiledModel, Property, QueryStats,
+    build_reach_graph_budgeted_opts, check_on_graph, CheckStats, CompiledModel, Property,
+    QueryStats,
 };
 use procheck_smv::coi::{expand_counterexample, slice_for_property};
 use procheck_smv::expr::Expr;
@@ -161,19 +161,19 @@ proptest! {
     fn por_graph_equals_unreduced_graph(model in arb_model()) {
         let compiled = CompiledModel::new(&model).expect("generated models are valid");
         let base = build_graph(&compiled, false);
-        // POR forced on at width 1, then the env-default build (which is
-        // POR-on unless PROCHECK_NO_POR is set) at wider frontiers.
+        // POR on at width 1, then at a wider frontier.
         let por_on = build_graph(&compiled, true);
         let mut stats = CheckStats::default();
-        let por_wide = build_reach_graph_budgeted(
+        let por_wide = build_reach_graph_budgeted_opts(
             &compiled,
             LIMIT,
             &BudgetMeter::unlimited(),
             &mut stats,
             4,
+            true,
         )
         .expect("within limit");
-        for (g, tag) in [(&por_on, "forced-w1"), (&por_wide, "default-w4")] {
+        for (g, tag) in [(&por_on, "por-w1"), (&por_wide, "por-w4")] {
             prop_assert_eq!(base.node_count(), g.node_count(), "{}", tag);
             prop_assert_eq!(base.edge_count(), g.edge_count(), "{}", tag);
             prop_assert_eq!(base.levels(), g.levels(), "{}", tag);

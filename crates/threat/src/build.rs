@@ -830,8 +830,7 @@ mod tests {
     fn exclusion_mask_matches_forge_free_model() {
         use procheck_ident::CmdIdSet;
         use procheck_smv::checker::{
-            build_reach_graph_compiled, check_bounded, check_on_graph, CheckStats, Property,
-            QueryStats,
+            build_reach_graph, check_bounded, check_on_graph, Property, QueryStats,
         };
 
         let model = build_threat_model(&mini_ue(), &mini_mme(), &ThreatConfig::lte());
@@ -861,8 +860,7 @@ mod tests {
         );
 
         let p = Property::reachable("forged_dl", Expr::var_eq("chan_dl_meta", "adv_forged"));
-        let mut stats = CheckStats::default();
-        let graph = build_reach_graph_compiled(&compiled, 1_000_000, &mut stats).expect("explore");
+        let graph = build_reach_graph(&model, 1_000_000).expect("explore");
         let cp = compiled.compile_property(&p).expect("property compiles");
         let mut q = QueryStats::default();
         let masked =
